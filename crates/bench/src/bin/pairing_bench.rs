@@ -1,5 +1,6 @@
 //! Pairing-path microbenchmarks: fixed-width backend vs the bigint
-//! reference, on the paper's 512-bit parameters.
+//! reference, on the paper's 512-bit parameters, plus the client side
+//! of one (2, 3) quorum token.
 //!
 //! Run with `cargo run --release -p sempair-bench --bin pairing_bench`.
 //! Prints a markdown summary to stdout and writes `BENCH_pairing.json`
@@ -22,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sempair_bench::report::{markdown_table, time, Timing};
 use sempair_core::gdh;
+use sempair_core::threshold::{DecryptionShare, ShareVerifier, ThresholdPkg};
 use sempair_pairing::{CurveParams, G1Affine};
 
 struct Entry {
@@ -137,6 +139,31 @@ fn main() {
             for (m, s) in &entries {
                 gdh::verify(&slow, &pk, m, s).unwrap();
             }
+        }),
+    );
+
+    // --- (2, 3) quorum client: verify every partial, then combine --------
+    // What `QuorumClient::token` does per token once the identity's
+    // verifier is cached: prepare `U`, check the three robust partials
+    // of a hedged (2, 3) wave, Lagrange-combine the first two.
+    let tpkg = ThresholdPkg::setup(&mut rng, fast.clone(), 2, 3).unwrap();
+    let sys = tpkg.system();
+    let tct = sys.params().encrypt_basic(&mut rng, "vault", b"quorum");
+    let partials: Vec<DecryptionShare> = tpkg
+        .keygen("vault")
+        .iter()
+        .map(|ks| sys.decryption_share_robust(&mut rng, ks, &tct.u))
+        .collect();
+    let verifier = ShareVerifier::new(sys, "vault");
+    record(
+        &mut results,
+        "threshold_quorum_verify_2of3_fixed",
+        time(2, 15, || {
+            let check = verifier.for_ciphertext(sys, &tct.u);
+            for partial in &partials {
+                check.verify(partial).unwrap();
+            }
+            sys.combine_token(&partials).unwrap()
         }),
     );
 

@@ -29,7 +29,7 @@ use crate::Error;
 use rand::RngCore;
 use sempair_bigint::BigUint;
 use sempair_hash::derive;
-use sempair_pairing::{CurveParams, G1Affine, Gt};
+use sempair_pairing::{CurveParams, G1Affine, Gt, PreparedG1};
 
 /// Public description of a `(t, n)` threshold IBE deployment.
 #[derive(Debug, Clone)]
@@ -299,6 +299,10 @@ impl ThresholdSystem {
     /// Verifies a robust decryption share for identity `id` and
     /// ciphertext component `u`.
     ///
+    /// One-shot form of [`ShareVerifier`]: computes only the share's
+    /// own `v_i`. Callers checking several shares of one identity
+    /// should build a [`ShareVerifier`] once instead.
+    ///
     /// # Errors
     ///
     /// [`Error::InvalidProof`] if no proof is attached or it fails;
@@ -309,43 +313,9 @@ impl ThresholdSystem {
         u: &G1Affine,
         share: &DecryptionShare,
     ) -> Result<(), Error> {
-        if share.index == 0 || share.index as usize > self.n {
-            return Err(Error::InvalidShare {
-                player: share.index,
-            });
-        }
-        let Some(proof) = &share.proof else {
-            return Err(Error::InvalidProof);
-        };
-        let vk = self
-            .verification_key(share.index)
-            .ok_or(Error::InvalidShare {
-                player: share.index,
-            })?;
-        let curve = self.params.curve();
-        let q_id = self.params.hash_identity(id);
-        // Publicly computable v_i = ê(P_pub^(i), Q_ID) = ê(P, d_IDᵢ).
-        let v_i = curve.pairing(vk, &q_id);
-        let e = self.proof_challenge(&share.value, &v_i, &proof.w1, &proof.w2);
-        if e != proof.e {
-            return Err(Error::InvalidProof);
-        }
-        // ê(P, V) = w1 · v_iᵉ, rewritten as
-        // ê(P, V) · ê(−e·P_pub^(i), Q_ID) = w1 (since v_i =
-        // ê(P_pub^(i), Q_ID)): one shared-squaring multi-Miller loop
-        // and a single final exponentiation instead of a full pairing
-        // plus a full-width `Gt` exponentiation.
-        let neg_evk = curve.neg(&curve.mul(&e, vk));
-        let lhs1 = curve.multi_pairing(&[(curve.generator(), &proof.v), (&neg_evk, &q_id)]);
-        if lhs1 != proof.w1 {
-            return Err(Error::InvalidProof);
-        }
-        let lhs2 = curve.pairing(u, &proof.v);
-        let rhs2 = curve.gt_mul(&proof.w2, &curve.gt_pow(&share.value, &e));
-        if lhs2 != rhs2 {
-            return Err(Error::InvalidProof);
-        }
-        Ok(())
+        ShareVerifier::for_players(self, id, |i| i == share.index)
+            .for_ciphertext(self, u)
+            .verify(share)
     }
 
     /// `Recombination` (§3.2): `g = Π ê(U, d_IDᵢ)^{Lᵢ}`, then
@@ -361,6 +331,23 @@ impl ThresholdSystem {
         ciphertext: &BasicCiphertext,
         shares: &[DecryptionShare],
     ) -> Result<Vec<u8>, Error> {
+        let g = self.combine_token(shares)?;
+        let mut m = ciphertext.v.clone();
+        let mask = self.params.mask_h2(&g, m.len());
+        sempair_hash::xor_in_place(&mut m, &mask);
+        Ok(m)
+    }
+
+    /// Lagrange-combines the first `t` shares in the *group*:
+    /// `g = Π ê(U, d_IDᵢ)^{Lᵢ} = ê(U, s·Q_ID)`. Shares are trusted as
+    /// given; [`combine_token_robust`](Self::combine_token_robust)
+    /// verifies them first.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotEnoughShares`], or propagated Lagrange failures
+    /// (zero or repeated indices).
+    pub fn combine_token(&self, shares: &[DecryptionShare]) -> Result<Gt, Error> {
         let used = shares.get(..self.t).ok_or(Error::NotEnoughShares {
             needed: self.t,
             got: shares.len(),
@@ -373,10 +360,7 @@ impl ThresholdSystem {
             let li = shamir::lagrange_coefficient(&indices, share.index, q)?;
             g = curve.gt_mul(&g, &curve.gt_pow(&share.value, &li));
         }
-        let mut m = ciphertext.v.clone();
-        let mask = self.params.mask_h2(&g, m.len());
-        sempair_hash::xor_in_place(&mut m, &mask);
-        Ok(m)
+        Ok(g)
     }
 
     /// Robust recombination: verifies every share first, discards
@@ -395,10 +379,12 @@ impl ThresholdSystem {
         ciphertext: &BasicCiphertext,
         shares: &[DecryptionShare],
     ) -> Result<(Vec<u8>, Vec<u32>), Error> {
+        let verifier = ShareVerifier::for_shares(self, id, shares);
+        let check = verifier.for_ciphertext(self, &ciphertext.u);
         let mut valid = Vec::new();
         let mut cheaters = Vec::new();
         for share in shares {
-            match self.verify_decryption_share(id, &ciphertext.u, share) {
+            match check.verify(share) {
                 Ok(()) => valid.push(share.clone()),
                 Err(_) => cheaters.push(share.index),
             }
@@ -464,30 +450,130 @@ impl ThresholdSystem {
         u: &G1Affine,
         shares: &[DecryptionShare],
     ) -> Result<(Gt, Vec<u32>), Error> {
-        let mut valid: Vec<&DecryptionShare> = Vec::new();
+        let verifier = ShareVerifier::for_shares(self, id, shares);
+        let check = verifier.for_ciphertext(self, u);
+        let mut valid: Vec<DecryptionShare> = Vec::new();
         let mut cheaters = Vec::new();
         for share in shares {
             if valid.iter().any(|s| s.index == share.index) {
                 continue;
             }
-            match self.verify_decryption_share(id, u, share) {
-                Ok(()) => valid.push(share),
+            match check.verify(share) {
+                Ok(()) => valid.push(share.clone()),
                 Err(_) => cheaters.push(share.index),
             }
         }
-        let used = valid.get(..self.t).ok_or(Error::NotEnoughShares {
-            needed: self.t,
-            got: valid.len(),
-        })?;
-        let indices: Vec<u32> = used.iter().map(|s| s.index).collect();
-        let curve = self.params.curve();
-        let q = curve.order();
-        let mut g = curve.gt_one();
-        for share in used {
-            let li = shamir::lagrange_coefficient(&indices, share.index, q)?;
-            g = curve.gt_mul(&g, &curve.gt_pow(&share.value, &li));
+        Ok((self.combine_token(&valid)?, cheaters))
+    }
+}
+
+/// The §3.2 share check for one identity, with the per-identity work
+/// done once.
+///
+/// Building a verifier hashes `Q_ID`, prepares it as a fixed pairing
+/// argument, and caches each player's public
+/// `v_i = ê(P_pub^(i), Q_ID) = ê(P, d_IDᵢ)`.
+/// [`for_ciphertext`](Self::for_ciphertext) then prepares `U` once per
+/// ciphertext, so each share costs the challenge hash, two prepared
+/// pairings and two exponentiations by the short challenge `e`.
+#[derive(Debug, Clone)]
+pub struct ShareVerifier {
+    /// `v_i` at position `i − 1`; `None` for players the verifier was
+    /// not built for.
+    v: Vec<Option<Gt>>,
+}
+
+impl ShareVerifier {
+    /// A verifier for the shares of every player of `system` on
+    /// identity `id`.
+    pub fn new(system: &ThresholdSystem, id: &str) -> Self {
+        Self::for_players(system, id, |_| true)
+    }
+
+    /// A verifier covering only the player indices that occur in
+    /// `shares`.
+    fn for_shares(system: &ThresholdSystem, id: &str, shares: &[DecryptionShare]) -> Self {
+        Self::for_players(system, id, |i| shares.iter().any(|s| s.index == i))
+    }
+
+    fn for_players(system: &ThresholdSystem, id: &str, wanted: impl Fn(u32) -> bool) -> Self {
+        let curve = system.params.curve();
+        // The pairing is symmetric on G1, so `v_i` pairs the prepared
+        // `Q_ID` against each verification key.
+        let q_id = curve.prepare_g1(&system.params.hash_identity(id));
+        let v = (1u32..)
+            .zip(&system.verification_keys)
+            .map(|(i, vk)| wanted(i).then(|| curve.pairing_prepared(&q_id, vk)))
+            .collect();
+        ShareVerifier { v }
+    }
+
+    /// Binds the verifier to one ciphertext component `u`, prepared
+    /// once for every share checked against it. `system` must be the
+    /// system the verifier was built from.
+    pub fn for_ciphertext<'a>(
+        &'a self,
+        system: &'a ThresholdSystem,
+        u: &G1Affine,
+    ) -> CiphertextVerifier<'a> {
+        CiphertextVerifier {
+            system,
+            v: &self.v,
+            u: system.params.curve().prepare_g1(u),
         }
-        Ok((g, cheaters))
+    }
+}
+
+/// A [`ShareVerifier`] bound to one ciphertext (see
+/// [`ShareVerifier::for_ciphertext`]).
+#[derive(Debug)]
+pub struct CiphertextVerifier<'a> {
+    system: &'a ThresholdSystem,
+    v: &'a [Option<Gt>],
+    /// `U`, prepared as the fixed first argument of `ê(U, V)`.
+    u: PreparedG1,
+}
+
+impl CiphertextVerifier<'_> {
+    /// Checks one robust decryption share: the Fiat–Shamir challenge
+    /// `e = H(g_i, v_i, w1, w2)`, then `ê(P, V) = w1 · v_iᵉ` and
+    /// `ê(U, V) = w2 · g_iᵉ`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidProof`] if no proof is attached or it fails;
+    /// [`Error::InvalidShare`] for an out-of-range index.
+    pub fn verify(&self, share: &DecryptionShare) -> Result<(), Error> {
+        let bad_index = Error::InvalidShare {
+            player: share.index,
+        };
+        if share.index == 0 || share.index as usize > self.system.n {
+            return Err(bad_index);
+        }
+        let Some(proof) = &share.proof else {
+            return Err(Error::InvalidProof);
+        };
+        let v_i = (share.index as usize)
+            .checked_sub(1)
+            .and_then(|i| self.v.get(i))
+            .and_then(Option::as_ref)
+            .ok_or(bad_index)?;
+        let curve = self.system.params.curve();
+        let e = self
+            .system
+            .proof_challenge(&share.value, v_i, &proof.w1, &proof.w2);
+        if e != proof.e {
+            return Err(Error::InvalidProof);
+        }
+        let lhs1 = curve.pairing_prepared(curve.prepared_generator(), &proof.v);
+        if lhs1 != curve.gt_mul(&proof.w1, &curve.gt_pow(v_i, &e)) {
+            return Err(Error::InvalidProof);
+        }
+        let lhs2 = curve.pairing_prepared(&self.u, &proof.v);
+        if lhs2 != curve.gt_mul(&proof.w2, &curve.gt_pow(&share.value, &e)) {
+            return Err(Error::InvalidProof);
+        }
+        Ok(())
     }
 }
 
@@ -554,7 +640,9 @@ pub fn robust_decryption_share(
     key_share: &IdKeyShare,
     u: &G1Affine,
 ) -> DecryptionShare {
-    let g_i = curve.pairing(u, &key_share.point);
+    // Both `ê(U, ·)` pairings share one preparation of `U`.
+    let prep_u = curve.prepare_g1(u);
+    let g_i = curve.pairing_prepared(&prep_u, &key_share.point);
     // Both `ê(P, ·)` pairings share the parameter set's cached
     // prepared generator — line evaluation only, no point arithmetic.
     let prep_p = curve.prepared_generator();
@@ -563,7 +651,7 @@ pub fn robust_decryption_share(
     let rho = curve.random_scalar(rng);
     let r_point = curve.mul_generator(&rho);
     let w1 = curve.pairing_prepared(prep_p, &r_point);
-    let w2 = curve.pairing(u, &r_point);
+    let w2 = curve.pairing_prepared(&prep_u, &r_point);
     let e = eq_proof_challenge(curve, &g_i, &v_i, &w1, &w2);
     // V = R + e·d_IDᵢ.
     let v = curve.add(&r_point, &curve.mul(&e, &key_share.point));
@@ -1058,6 +1146,172 @@ mod tests {
         let mut zero_t = bytes;
         zero_t[..4].copy_from_slice(&0u32.to_be_bytes());
         assert!(threshold_system_from_bytes(curve, &zero_t).is_err());
+    }
+
+    /// The share check exactly as it stood before [`ShareVerifier`]:
+    /// every pairing unprepared, `v_i` recomputed per share, and the
+    /// first equation folded into a two-pair multi-Miller loop. The
+    /// differential property below holds the prepared verifier to it.
+    fn reference_verify(
+        sys: &ThresholdSystem,
+        id: &str,
+        u: &G1Affine,
+        share: &DecryptionShare,
+    ) -> Result<(), Error> {
+        if share.index == 0 || share.index as usize > sys.n {
+            return Err(Error::InvalidShare {
+                player: share.index,
+            });
+        }
+        let Some(proof) = &share.proof else {
+            return Err(Error::InvalidProof);
+        };
+        let vk = sys.verification_key(share.index).unwrap();
+        let curve = sys.params.curve();
+        let q_id = sys.params.hash_identity(id);
+        let v_i = curve.pairing(vk, &q_id);
+        let e = sys.proof_challenge(&share.value, &v_i, &proof.w1, &proof.w2);
+        if e != proof.e {
+            return Err(Error::InvalidProof);
+        }
+        let neg_evk = curve.neg(&curve.mul(&e, vk));
+        let lhs1 = curve.multi_pairing(&[(curve.generator(), &proof.v), (&neg_evk, &q_id)]);
+        if lhs1 != proof.w1 {
+            return Err(Error::InvalidProof);
+        }
+        let lhs2 = curve.pairing(u, &proof.v);
+        let rhs2 = curve.gt_mul(&proof.w2, &curve.gt_pow(&share.value, &e));
+        if lhs2 != rhs2 {
+            return Err(Error::InvalidProof);
+        }
+        Ok(())
+    }
+
+    /// Every way a share can be presented: honest, or with one input
+    /// tampered. Returns the share and the identity and `U` it is
+    /// checked under.
+    fn tampered(
+        kind: u8,
+        honest: &DecryptionShare,
+        other: &DecryptionShare,
+        curve: &CurveParams,
+        u: &G1Affine,
+        other_u: &G1Affine,
+    ) -> (DecryptionShare, &'static str, G1Affine) {
+        let mut share = honest.clone();
+        let mut id = "alice";
+        let mut u = u.clone();
+        let proof = share.proof.as_mut().unwrap();
+        match kind {
+            0 => {}
+            1 => share.index = 0,
+            2 => share.index = 4,
+            3 => share.index = other.index,
+            4 => share.value = curve.gt_mul(&share.value, &other.value),
+            5 => proof.w1 = curve.gt_mul(&proof.w1, &other.value),
+            6 => proof.w2 = curve.gt_mul(&proof.w2, &other.value),
+            7 => proof.e = &proof.e + &BigUint::one(),
+            8 => proof.v = curve.add(&proof.v, curve.generator()),
+            9 => u = other_u.clone(),
+            10 => id = "bob",
+            _ => share.proof = None,
+        }
+        (share, id, u)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn share_verifier_agrees_with_unprepared_reference(
+            seed in proptest::prelude::any::<u64>(),
+            player in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let curve = CurveParams::fast_insecure();
+            let pkg = ThresholdPkg::setup(&mut rng, curve.clone(), 2, 3).unwrap();
+            let sys = pkg.system();
+            let c = sys.params().encrypt_basic(&mut rng, "alice", b"m");
+            let other_u = sys.params().encrypt_basic(&mut rng, "alice", b"m").u;
+            let dec: Vec<DecryptionShare> = pkg
+                .keygen("alice")
+                .iter()
+                .map(|ks| robust_decryption_share(&curve, &mut rng, ks, &c.u))
+                .collect();
+            let other = &dec[(player + 1) % 3];
+            for kind in 0u8..12 {
+                let (share, id, u) = tampered(kind, &dec[player], other, &curve, &c.u, &other_u);
+                let expected = reference_verify(sys, id, &u, &share);
+                proptest::prop_assert_eq!(expected.is_ok(), kind == 0);
+                let verifier = ShareVerifier::new(sys, id);
+                let check = verifier.for_ciphertext(sys, &u);
+                proptest::prop_assert_eq!(&check.verify(&share), &expected);
+                proptest::prop_assert_eq!(&sys.verify_decryption_share(id, &u, &share), &expected);
+                // The robust combiners name exactly the shares the
+                // reference rejects; the token combiner first skips an
+                // index it has already accepted.
+                let mut shares = dec.clone();
+                shares[player] = share;
+                let mut accepted: Vec<u32> = Vec::new();
+                let mut named_token = Vec::new();
+                let mut named_all = Vec::new();
+                for s in &shares {
+                    let ok = reference_verify(sys, id, &u, s).is_ok();
+                    if !ok {
+                        named_all.push(s.index);
+                    }
+                    if accepted.contains(&s.index) {
+                        continue;
+                    }
+                    if ok {
+                        accepted.push(s.index);
+                    } else {
+                        named_token.push(s.index);
+                    }
+                }
+                match sys.combine_token_robust(id, &u, &shares) {
+                    Ok((_, cheaters)) => proptest::prop_assert_eq!(cheaters, named_token),
+                    Err(e) => proptest::prop_assert_eq!(
+                        e,
+                        Error::NotEnoughShares { needed: 2, got: accepted.len() }
+                    ),
+                }
+                let ct = BasicCiphertext { u: u.clone(), v: c.v.clone() };
+                if let Ok((_, cheaters)) = sys.recombine_basic_robust(id, &ct, &shares) {
+                    proptest::prop_assert_eq!(cheaters, named_all);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn share_verifier_is_reused_across_ciphertexts() {
+        let (pkg, mut rng) = setup(2, 3);
+        let sys = pkg.system();
+        let shares = pkg.keygen("alice");
+        let verifier = ShareVerifier::new(sys, "alice");
+        for msg in [&b"one"[..], b"two"] {
+            let c = sys.params().encrypt_basic(&mut rng, "alice", msg);
+            let check = verifier.for_ciphertext(sys, &c.u);
+            let dec: Vec<DecryptionShare> = shares
+                .iter()
+                .map(|ks| sys.decryption_share_robust(&mut rng, ks, &c.u))
+                .collect();
+            for share in &dec {
+                check.verify(share).unwrap();
+            }
+            // Verified shares combine with the plain Lagrange step.
+            let token = sys.combine_token(&dec).unwrap();
+            assert_eq!(
+                token,
+                sys.combine_token_robust("alice", &c.u, &dec).unwrap().0
+            );
+            let ct = BasicCiphertext {
+                u: c.u.clone(),
+                v: c.v.clone(),
+            };
+            assert_eq!(sys.recombine_basic(&ct, &dec).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use sempair_bigint::{prime, rng as brng, BigUint};
 use sempair_hash::derive;
 use std::error::Error as StdError;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use rand::RngCore;
 
@@ -48,12 +49,14 @@ pub struct CurveParams {
     /// Lazily built fixed-base table for [`CurveParams::mul_generator`]:
     /// `table[i][d] = d·2^{4i}·P` for 4-bit windows, turning every
     /// generator multiplication into ~⌈|r|/4⌉ mixed additions with no
-    /// doublings (E10 ablation: `fixed_base_comb`).
-    gen_table: std::sync::OnceLock<Vec<Vec<G1Affine>>>,
+    /// doublings (E10 ablation: `fixed_base_comb`). Shared by every
+    /// clone, so per-identity copies of the parameters (threshold
+    /// systems, registered quorum identities) build and hold one table.
+    gen_table: Arc<OnceLock<Vec<Vec<G1Affine>>>>,
     /// Lazily built prepared generator for
     /// [`CurveParams::prepared_generator`] — shared by every verifier
-    /// hot path that pairs against `P`.
-    prep_gen: std::sync::OnceLock<PreparedG1>,
+    /// hot path that pairs against `P`, and by every clone.
+    prep_gen: Arc<OnceLock<PreparedG1>>,
 }
 
 /// Serializable wire form of a parameter set.
@@ -130,8 +133,8 @@ impl CurveParams {
             cofactor,
             fp,
             generator,
-            gen_table: std::sync::OnceLock::new(),
-            prep_gen: std::sync::OnceLock::new(),
+            gen_table: Arc::default(),
+            prep_gen: Arc::default(),
         })
     }
 
@@ -177,8 +180,8 @@ impl CurveParams {
             cofactor,
             fp,
             generator,
-            gen_table: std::sync::OnceLock::new(),
-            prep_gen: std::sync::OnceLock::new(),
+            gen_table: Arc::default(),
+            prep_gen: Arc::default(),
         })
     }
 
@@ -483,14 +486,15 @@ impl CurveParams {
 
     /// Disables the fixed-width backend on this parameter set's field
     /// context, so all arithmetic runs on the variable-width reference
-    /// path. Cached tables built under the other backend are discarded.
+    /// path. Cached tables built under the other backend are discarded
+    /// here; clones taken earlier keep theirs.
     /// Test-only hook for differential checks; not part of the public
     /// API contract.
     #[doc(hidden)]
     pub fn force_bigint_backend(&mut self) {
         self.fp.force_bigint_backend();
-        self.gen_table = std::sync::OnceLock::new();
-        self.prep_gen = std::sync::OnceLock::new();
+        self.gen_table = Arc::default();
+        self.prep_gen = Arc::default();
     }
 
     /// [`CurveParams::pairing`] with a prepared first argument:

@@ -17,14 +17,16 @@
 //!
 //! [`QuorumClient`] is the consumer half: it fans a token request out
 //! to the `t + h` historically fastest replicas (hedging knob
-//! [`HedgeConfig`]), NIZK-verifies every returned partial against the
-//! per-identity verification keys, falls back to the remaining
-//! replicas if the first wave comes up short, and Lagrange-combines
-//! the first `t` valid partials
-//! ([`ThresholdSystem::combine_token_robust`]). The outcome names
-//! cheaters and unreachable replicas in [`QuorumStats`]; losing the
-//! quorum surfaces as [`Error::QuorumLost`] within the configured
-//! deadlines, never as a hang.
+//! [`HedgeConfig`]), NIZK-verifies each returned partial exactly once
+//! against the per-identity verification keys, falls back to the
+//! remaining replicas if the first wave comes up short, and
+//! Lagrange-combines the first `t` verified partials
+//! ([`ThresholdSystem::combine_token`]). The per-identity
+//! [`ShareVerifier`] is built on the first token for that identity and
+//! cached. The outcome names cheaters and unreachable replicas in
+//! [`QuorumStats`]; losing the quorum surfaces as
+//! [`Error::QuorumLost`] within the configured deadlines, never as a
+//! hang.
 //!
 //! Each replica persists its revocation state in an append-only
 //! checksummed journal ([`crate::store`]), so a kill + restart
@@ -39,13 +41,16 @@ use rand::RngCore;
 use sempair_core::bf_ibe::{IbePublicParams, Pkg};
 use sempair_core::lockdep::{LockClass, TrackedMutex};
 use sempair_core::mediated::{DecryptToken, UserKey};
-use sempair_core::threshold::{DecryptionShare, IdKeyShare, ThresholdSystem};
+use sempair_core::threshold::{
+    CiphertextVerifier, DecryptionShare, IdKeyShare, ShareVerifier, ThresholdSystem,
+};
 use sempair_core::Error;
 use sempair_pairing::G1Affine;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Hedging policy for [`QuorumClient::token`]: the first wave asks the
@@ -109,6 +114,13 @@ struct Slot {
     cheats: AtomicU64,
 }
 
+/// A registered identity: its verification system and the share
+/// verifier derived from it, built on the identity's first token.
+struct Registered {
+    system: ThresholdSystem,
+    verifier: OnceLock<ShareVerifier>,
+}
+
 /// Fans token requests across SEM replicas, verifies every partial,
 /// and combines a quorum (see module docs).
 pub struct QuorumClient {
@@ -117,7 +129,7 @@ pub struct QuorumClient {
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
     hedge: HedgeConfig,
-    systems: HashMap<String, ThresholdSystem>,
+    systems: HashMap<String, Registered>,
     slots: Vec<Slot>,
 }
 
@@ -176,7 +188,11 @@ impl QuorumClient {
     /// client checks partial tokens for `id`. Requests for identities
     /// never registered fail with [`Error::UnknownIdentity`].
     pub fn register(&mut self, id: &str, system: ThresholdSystem) {
-        self.systems.insert(id.to_string(), system);
+        let registered = Registered {
+            system,
+            verifier: OnceLock::new(),
+        };
+        self.systems.insert(id.to_string(), registered);
     }
 
     /// The quorum threshold `t`.
@@ -200,8 +216,8 @@ impl QuorumClient {
     }
 
     /// Requests a decryption token for `id` on ciphertext point `u`
-    /// from the cluster: hedged fan-out, NIZK verification of every
-    /// partial, robust Lagrange combination of the first `t` valid.
+    /// from the cluster: hedged fan-out, one NIZK verification of each
+    /// partial, Lagrange combination of the first `t` valid.
     ///
     /// # Errors
     ///
@@ -213,8 +229,13 @@ impl QuorumClient {
     ///   exist after asking *every* replica — the typed, bounded-time
     ///   alternative to hanging on dead boxes.
     pub fn token(&self, id: &str, u: &G1Affine) -> Result<QuorumOutcome, Error> {
-        let system = self.systems.get(id).ok_or(Error::UnknownIdentity)?;
+        let registered = self.systems.get(id).ok_or(Error::UnknownIdentity)?;
+        let system = &registered.system;
         let started = Instant::now();
+        let check = registered
+            .verifier
+            .get_or_init(|| ShareVerifier::new(system, id))
+            .for_ciphertext(system, u);
         let mut stats = QuorumStats::default();
         let mut valid: Vec<DecryptionShare> = Vec::new();
 
@@ -222,19 +243,17 @@ impl QuorumClient {
         let first_wave = self.t.saturating_add(self.hedge.extra).min(order.len());
         let (wave1, wave2) = order.split_at(first_wave);
 
-        self.run_wave(wave1, id, u, system, &mut valid, &mut stats);
+        self.run_wave(wave1, id, u, &check, &mut valid, &mut stats);
         if valid.len() < self.t && !wave2.is_empty() {
             stats.hedged = true;
-            self.run_wave(wave2, id, u, system, &mut valid, &mut stats);
+            self.run_wave(wave2, id, u, &check, &mut valid, &mut stats);
         }
 
         stats.valid = valid.len();
         stats.elapsed = started.elapsed();
         if valid.len() >= self.t {
-            let (g, late_cheaters) = system.combine_token_robust(id, u, &valid)?;
-            stats.cheaters.extend(late_cheaters);
             return Ok(QuorumOutcome {
-                token: DecryptToken(g),
+                token: DecryptToken(system.combine_token(&valid)?),
                 stats,
             });
         }
@@ -250,13 +269,13 @@ impl QuorumClient {
     }
 
     /// Asks the given replicas concurrently and classifies each
-    /// response into `valid` / `stats`.
+    /// response into `valid` / `stats`, verifying each share once.
     fn run_wave(
         &self,
         indices: &[usize],
         id: &str,
         u: &G1Affine,
-        system: &ThresholdSystem,
+        check: &CiphertextVerifier<'_>,
         valid: &mut Vec<DecryptionShare>,
         stats: &mut QuorumStats,
     ) {
@@ -296,7 +315,7 @@ impl QuorumClient {
                     // Verify before trusting, and attribute failures to
                     // the *replica position*, not the index the share
                     // claims — a cheater doesn't get to pick its name.
-                    if system.verify_decryption_share(id, u, &share).is_ok() {
+                    if check.verify(&share).is_ok() {
                         if !valid.iter().any(|s| s.index == share.index) {
                             valid.push(share);
                         }

@@ -1365,7 +1365,10 @@ fn handle_request(request: &Request, shared: &Shared) -> Response {
         },
         op => {
             let started = Instant::now();
-            let (capability, response) = {
+            let (capability, response) = if op == Op::TokenShare {
+                let response = serve_token_share(&request.id, &request.body, shared);
+                (Capability::IbeDecrypt, response)
+            } else {
                 let inner = shared.shard(&request.id).read(); // lock:acquire(Shard)
                 serve_item(op, &request.id, &request.body, shared, &inner)
             };
@@ -1427,9 +1430,8 @@ fn handle_batch(items: &[Request], shared: &Shared) -> Response {
     }
 }
 
-/// Serves one op-1/op-2/op-5 request against an already-acquired lock
-/// guard (shared by the single path and every batch item; op 5 never
-/// appears in a batch).
+/// Serves one op-1/op-2 request against an already-acquired lock guard
+/// (shared by the single path and every batch item).
 fn serve_item(
     op: Op,
     id: &str,
@@ -1485,49 +1487,44 @@ fn serve_item(
             };
             (Capability::GdhSign, response)
         }
-        Op::TokenShare => {
-            let response = match params.curve().point_from_bytes(body) {
-                Err(_) => Response {
-                    status: Status::Invalid,
-                    body: vec![],
-                },
-                Ok(u) => {
-                    if inner.revoked.contains(id) {
-                        Response {
-                            status: Status::Revoked,
-                            body: vec![],
-                        }
-                    } else {
-                        match inner.shares.get(id) {
-                            None => Response {
-                                status: Status::Unknown,
-                                body: vec![],
-                            },
-                            Some(share) => {
-                                let mut rng = StdRng::from_entropy();
-                                let partial = threshold::robust_decryption_share(
-                                    params.curve(),
-                                    &mut rng,
-                                    share,
-                                    &u,
-                                );
-                                Response {
-                                    status: Status::Ok,
-                                    body: threshold::decryption_share_to_bytes(
-                                        params.curve(),
-                                        &partial,
-                                    ),
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            (Capability::IbeDecrypt, response)
-        }
+        Op::TokenShare => unreachable!("token shares are served by serve_token_share"),
         Op::Batch => unreachable!("nested batches are rejected at decode"),
         Op::Stats => unreachable!("stats is handled before item dispatch"),
         Op::Pipelined => unreachable!("envelopes are unwrapped before item dispatch"),
+    }
+}
+
+/// Serves one op-5 request: this replica's robust partial token.
+///
+/// The share costs several pairings, so only the revocation check and
+/// the key-share lookup run under the shard read lock. A revocation on
+/// the same shard then never waits for a share computation; a request
+/// that passed the check is ordered before the revocation, as it would
+/// be had the revocation queued behind the lock.
+fn serve_token_share(id: &str, body: &[u8], shared: &Shared) -> Response {
+    let params = &shared.params;
+    let reply = |status| Response {
+        status,
+        body: vec![],
+    };
+    let Ok(u) = params.curve().point_from_bytes(body) else {
+        return reply(Status::Invalid);
+    };
+    let share = {
+        let inner = shared.shard(id).read(); // lock:acquire(Shard)
+        if inner.revoked.contains(id) {
+            return reply(Status::Revoked);
+        }
+        inner.shares.get(id).cloned()
+    };
+    let Some(share) = share else {
+        return reply(Status::Unknown);
+    };
+    let mut rng = StdRng::from_entropy();
+    let partial = threshold::robust_decryption_share(params.curve(), &mut rng, &share, &u);
+    Response {
+        status: Status::Ok,
+        body: threshold::decryption_share_to_bytes(params.curve(), &partial),
     }
 }
 

@@ -12,6 +12,7 @@ use sempair_net::proto::{
     Response, Status,
 };
 use sempair_net::store::{Journal, Record};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn sample_request(op_tag: u8, id: String, body: Vec<u8>) -> Request {
     let op = match op_tag % 3 {
@@ -141,11 +142,13 @@ proptest! {
         records in proptest::collection::vec("[a-z]{1,10}", 0..5),
         tail in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
+        // Process id plus a per-process case counter: no two cases,
+        // in this run or a concurrent one, share a journal file.
+        static CASE: AtomicUsize = AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
-            "sempair-adv-journal-{}-{}-{}.journal",
+            "sempair-adv-journal-{}-{}.journal",
             std::process::id(),
-            records.len(),
-            tail.len(),
+            CASE.fetch_add(1, Ordering::Relaxed),
         ));
         let _ = std::fs::remove_file(&path);
         {

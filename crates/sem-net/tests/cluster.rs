@@ -157,6 +157,60 @@ fn cheating_replica_is_detected_and_named() {
     cluster.shutdown();
 }
 
+/// Each partial is verified exactly once per token: with every replica
+/// in the first wave, a replica that always cheats is named exactly once
+/// in each outcome, and its health ledger counts one cheat per token.
+#[test]
+fn cheating_partial_is_counted_once_per_token() {
+    let (mut rng, mut cluster) = boot("once", 2, 3);
+    let user = cluster.enroll(&mut rng, "erin").unwrap();
+    // Same corrupting proxy as above: a flipped byte inside the Gt
+    // value of every share replica 3 sends.
+    let addrs = cluster.addrs();
+    let proxy = FaultProxy::spawn(
+        addrs[2],
+        FaultPlan::clean(),
+        FaultPlan::script(vec![
+            Fault::Corrupt {
+                offset: 20,
+                xor: 0xA5
+            };
+            256
+        ]),
+    )
+    .unwrap();
+    let mut proxied = addrs.clone();
+    proxied[2] = proxy.local_addr();
+    let mut client = QuorumClient::new(
+        cluster.params().clone(),
+        cluster.threshold(),
+        proxied,
+        fast_client(),
+    )
+    .unwrap()
+    // t + 1 = n: the cheater is in every first wave.
+    .with_hedge(HedgeConfig { extra: 1 });
+    client.register("erin", cluster.system_for("erin").unwrap().clone());
+
+    let c = cluster
+        .params()
+        .encrypt_full(&mut rng, "erin", b"verified once")
+        .unwrap();
+    for round in 1..=6u64 {
+        let outcome = client.token("erin", &c.u).unwrap();
+        assert_eq!(outcome.stats.asked, 3);
+        assert_eq!(outcome.stats.cheaters, vec![3], "round {round}");
+        assert_eq!(outcome.stats.valid, 2);
+        assert_eq!(client.replica_health()[2].cheats, round);
+        let m = user
+            .finish_decrypt(cluster.params(), &c, &outcome.token)
+            .unwrap();
+        assert_eq!(m, b"verified once");
+    }
+    proxy.shutdown();
+    cluster.shutdown();
+}
+
 /// With only `t − 1` replicas alive the quorum is gone: the client
 /// reports `QuorumLost` within its deadlines instead of hanging.
 #[test]

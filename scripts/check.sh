@@ -28,6 +28,21 @@ grep -q '"R5-lock"' AUDIT_report.json \
 echo "== tier-1: cargo build --release"
 cargo build --release
 
+# A test registered twice in one binary runs twice at once, and copies
+# that share a temp path race each other; it once happened to every
+# property test through the proptest shim. List every test binary and
+# fail on any name that appears twice within one of them.
+echo "== every test registered once (cargo test -- --list)"
+listing="$(cargo test --workspace -- --list 2>&1)"
+dups="$(printf '%s\n' "$listing" | awk '
+  /^ *(Running|Doc-tests) / { bin = $0; next }
+  /: (test|bench)$/ { if (seen[bin, $0]++) print bin ": " $0 }')"
+if [ -n "$dups" ]; then
+  echo "tests registered more than once:" >&2
+  echo "$dups" >&2
+  exit 1
+fi
+
 echo "== tier-1: cargo test -q (workspace minus network crate)"
 cargo test -q --workspace --exclude sempair-net
 

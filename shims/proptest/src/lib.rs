@@ -414,7 +414,11 @@ pub mod prelude {
 }
 
 /// Declares property tests: each `fn name(arg in strategy, ...) { .. }`
-/// becomes a `#[test]` that runs the body over random inputs.
+/// becomes a function that runs the body over random inputs.
+///
+/// As in upstream proptest, the caller writes the `#[test]` attribute
+/// on each function; the macro re-emits the caller's attributes and
+/// adds none of its own, so every property test registers once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -434,7 +438,6 @@ macro_rules! __proptest_impl {
         fn $name:ident($($arg:pat_param in $strategy:expr),+ $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config = $config;
             let mut rng = $crate::test_runner::TestRng::deterministic(stringify!($name));
@@ -538,26 +541,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        #[test]
         fn addition_commutes(a in any::<u32>(), b in any::<u32>()) {
             prop_assert_eq!(u64::from(a) + u64::from(b), u64::from(b) + u64::from(a));
         }
 
+        #[test]
         fn vec_lengths_respect_range(
             v in crate::collection::vec(any::<u8>(), 3..7),
         ) {
             prop_assert!(v.len() >= 3 && v.len() < 7);
         }
 
+        #[test]
         fn mapped_strategy_applies(x in (0u64..100).prop_map(|v| v * 2)) {
             prop_assert!(x % 2 == 0 && x < 200);
             prop_assume!(x != u64::MAX); // exercise the reject path
         }
 
+        #[test]
         fn dependent_ranges(n in 1usize..16, k in 0usize..16) {
             prop_assert!(n >= 1);
             prop_assert!(k < 16);
         }
 
+        #[test]
         fn regex_pattern_strings(id in "[a-z]{1,16}@[a-z]{1,10}\\.com") {
             let (local, rest) = id.split_once('@').expect("has @");
             prop_assert!((1..=16).contains(&local.len()));
