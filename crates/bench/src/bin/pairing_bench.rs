@@ -17,7 +17,9 @@
 //!
 //! `results` names are append-only; `speedups` keys are the two
 //! acceptance targets (single pairing ≥ 5×, 32-signature GDH batch
-//! ≥ 8×).
+//! ≥ 8×) plus same-host ratios, among them `subgroup_check_vs_mul_r`,
+//! the membership test's cost as a fraction of the `[r]P` it replaced
+//! (target ≤ 0.6).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,6 +169,27 @@ fn main() {
         }),
     );
 
+    // --- decoding U and its subgroup check --------------------------------
+    // The membership test `[r]P = O` against the full `[r]P` it
+    // replaced; decoding runs the test once after the square root.
+    let mul_r = record(
+        &mut results,
+        "mul_r_fixed",
+        time(5, 51, || fast.mul(fast.order(), &q).is_infinity()),
+    );
+    let subgroup = record(
+        &mut results,
+        "subgroup_check_fixed",
+        time(5, 51, || fast.is_in_group(&q)),
+    );
+    let q_bytes = fast.point_to_bytes(&q);
+    record(
+        &mut results,
+        "point_decode_fixed",
+        time(5, 51, || fast.point_from_bytes(&q_bytes).unwrap()),
+    );
+    let subgroup_ratio = subgroup.micros() / mul_r.micros();
+
     // --- summary ---------------------------------------------------------
     // The issue's single-pairing target is stated against the recorded
     // seed baseline (EXPERIMENTS.md E5: 5.3 ms per pairing at 512-bit
@@ -209,6 +232,7 @@ fn main() {
         "32-sig GDH batch vs 32 individual fixed verifies: {batch_live_speedup:.1}x; \
          vs bigint batch: {batch_backend_speedup:.1}x"
     );
+    println!("subgroup check / [r]P: {subgroup_ratio:.2} (target <= 0.6)");
     println!(
         "prepared vs single: {:.1}x, multi(8) vs 8 singles: {:.1}x",
         single_new.micros() / prepared_new.micros(),
@@ -234,7 +258,7 @@ fn main() {
     ));
     json.push_str("  \"speedups\": {\n");
     json.push_str(&format!(
-        "    \"pairing_single\": {single_speedup:.2},\n    \"pairing_single_vs_live_bigint\": {single_live_speedup:.2},\n    \"gdh_batch_verify_32\": {batch_speedup:.2},\n    \"gdh_batch_vs_individual_fixed\": {batch_live_speedup:.2},\n    \"gdh_batch_vs_bigint_batch\": {batch_backend_speedup:.2}\n"
+        "    \"pairing_single\": {single_speedup:.2},\n    \"pairing_single_vs_live_bigint\": {single_live_speedup:.2},\n    \"gdh_batch_verify_32\": {batch_speedup:.2},\n    \"gdh_batch_vs_individual_fixed\": {batch_live_speedup:.2},\n    \"gdh_batch_vs_bigint_batch\": {batch_backend_speedup:.2},\n    \"subgroup_check_vs_mul_r\": {subgroup_ratio:.2}\n"
     ));
     json.push_str("  }\n}\n");
     std::fs::write("BENCH_pairing.json", &json).expect("write BENCH_pairing.json");

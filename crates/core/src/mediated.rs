@@ -182,21 +182,19 @@ impl Sem {
     /// # Errors
     ///
     /// [`Error::Revoked`], [`Error::UnknownIdentity`], or
-    /// [`Error::InvalidCiphertext`] for an off-curve `U`.
+    /// [`Error::InvalidCiphertext`] for a `U` off the curve or outside
+    /// the order-`r` subgroup.
     pub fn decrypt_token(
         &self,
         params: &IbePublicParams,
         id: &str,
         u: &G1Affine,
     ) -> Result<DecryptToken, Error> {
-        if self.revoked.contains(id) {
-            return Err(Error::Revoked);
-        }
-        let key = self.keys.get(id).ok_or(Error::UnknownIdentity)?;
+        let key = self.serving_key(id)?;
         if !params.curve().is_in_group(u) {
             return Err(Error::InvalidCiphertext);
         }
-        Ok(DecryptToken(params.curve().pairing(u, &key.point)))
+        Ok(token(params, key, u, None))
     }
 
     /// [`Sem::decrypt_token`] through a shared cache of prepared
@@ -221,28 +219,47 @@ impl Sem {
         u: &G1Affine,
         prepared: &SharedLru<String, Arc<PreparedG1>>,
     ) -> Result<DecryptToken, Error> {
-        if self.revoked.contains(id) {
-            return Err(Error::Revoked);
-        }
-        let key = self.keys.get(id).ok_or(Error::UnknownIdentity)?;
+        let key = self.serving_key(id)?;
         if !params.curve().is_in_group(u) {
             return Err(Error::InvalidCiphertext);
         }
-        let prep = match prepared.get(id) {
-            Some(prep) => prep,
-            None => {
-                // Prepared outside the cache lock; concurrent misses on
-                // one identity duplicate work instead of serializing.
-                let prep = Arc::new(params.curve().prepare_g1(&key.point));
-                prepared.insert(
-                    id.to_string(),
-                    Arc::clone(&prep),
-                    prepared_weight(params, &prep),
-                );
-                prep
-            }
-        };
-        Ok(DecryptToken(params.curve().pairing_prepared(&prep, u)))
+        Ok(token(params, key, u, Some(prepared)))
+    }
+
+    /// The SEM step for a `U` still in its compressed wire encoding:
+    /// decoding validates curve and subgroup membership once, and the
+    /// pairing then runs without checking again. Through `prepared`
+    /// when given, as [`Sem::decrypt_token_cached`]; otherwise as
+    /// [`Sem::decrypt_token`]. Same token bytes either way.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidCiphertext`] when `u` does not decode to a point
+    /// of `G1` — checked first, so a malformed request is refused as
+    /// such even for a revoked identity — then [`Error::Revoked`] and
+    /// [`Error::UnknownIdentity`].
+    pub fn decrypt_token_encoded(
+        &self,
+        params: &IbePublicParams,
+        id: &str,
+        u: &[u8],
+        prepared: Option<&SharedLru<String, Arc<PreparedG1>>>,
+    ) -> Result<DecryptToken, Error> {
+        let u = params
+            .curve()
+            .point_from_bytes(u)
+            .map_err(|_| Error::InvalidCiphertext)?;
+        let key = self.serving_key(id)?;
+        Ok(token(params, key, &u, prepared))
+    }
+
+    /// The half-key for `id`, unless the identity is revoked (checked
+    /// first) or unknown.
+    fn serving_key(&self, id: &str) -> Result<&SemKey, Error> {
+        if self.revoked.contains(id) {
+            return Err(Error::Revoked);
+        }
+        self.keys.get(id).ok_or(Error::UnknownIdentity)
     }
 
     /// Prepares `d_sem`'s Miller lines into `prepared` ahead of
@@ -254,12 +271,7 @@ impl Sem {
         prepared: &SharedLru<String, Arc<PreparedG1>>,
     ) {
         if let Some(key) = self.keys.get(id) {
-            let prep = Arc::new(params.curve().prepare_g1(&key.point));
-            prepared.insert(
-                id.to_string(),
-                Arc::clone(&prep),
-                prepared_weight(params, &prep),
-            );
+            prepare_into(params, key, prepared);
         }
     }
 
@@ -268,6 +280,41 @@ impl Sem {
     pub fn leak_key_for_attack_demo(&self, id: &str) -> Option<&SemKey> {
         self.keys.get(id)
     }
+}
+
+/// `ê(U, d_sem)` for a `U` already known to lie in `G1`, through the
+/// prepared-half-key cache when one is given.
+fn token(
+    params: &IbePublicParams,
+    key: &SemKey,
+    u: &G1Affine,
+    prepared: Option<&SharedLru<String, Arc<PreparedG1>>>,
+) -> DecryptToken {
+    let curve = params.curve();
+    let Some(prepared) = prepared else {
+        return DecryptToken(curve.pairing(u, &key.point));
+    };
+    // Prepared outside the cache lock on a miss; concurrent misses on
+    // one identity duplicate work instead of serializing.
+    let prep = prepared
+        .get(&key.id)
+        .unwrap_or_else(|| prepare_into(params, key, prepared));
+    DecryptToken(curve.pairing_prepared(&prep, u))
+}
+
+/// Prepares `d_sem`'s Miller lines and caches them under its identity.
+fn prepare_into(
+    params: &IbePublicParams,
+    key: &SemKey,
+    prepared: &SharedLru<String, Arc<PreparedG1>>,
+) -> Arc<PreparedG1> {
+    let prep = Arc::new(params.curve().prepare_g1(&key.point));
+    prepared.insert(
+        key.id.clone(),
+        Arc::clone(&prep),
+        prepared_weight(params, &prep),
+    );
+    prep
 }
 
 /// Approximate resident bytes of a prepared point: three `F_p`
@@ -489,6 +536,46 @@ mod tests {
         };
         assert_eq!(
             sem.decrypt_token(pkg.params(), "alice", &outside),
+            Err(Error::InvalidCiphertext)
+        );
+        let prepared = SharedLru::new(16);
+        assert_eq!(
+            sem.decrypt_token_cached(pkg.params(), "alice", &outside, &prepared),
+            Err(Error::InvalidCiphertext)
+        );
+        let encoded = curve.point_to_bytes(&outside);
+        for cache in [None, Some(&prepared)] {
+            assert_eq!(
+                sem.decrypt_token_encoded(pkg.params(), "alice", &encoded, cache),
+                Err(Error::InvalidCiphertext)
+            );
+        }
+    }
+
+    #[test]
+    fn encoded_token_matches_typed_paths_and_decodes_first() {
+        let (pkg, mut sem, _, mut rng) = setup();
+        let prepared = SharedLru::new(16);
+        let c = pkg.params().encrypt_full(&mut rng, "alice", b"m").unwrap();
+        let u = pkg.params().curve().point_to_bytes(&c.u);
+        let plain = sem.decrypt_token(pkg.params(), "alice", &c.u).unwrap();
+        for cache in [None, Some(&prepared), Some(&prepared)] {
+            assert_eq!(
+                sem.decrypt_token_encoded(pkg.params(), "alice", &u, cache),
+                Ok(plain.clone())
+            );
+        }
+        assert_eq!(
+            sem.decrypt_token_encoded(pkg.params(), "nobody", &u, None),
+            Err(Error::UnknownIdentity)
+        );
+        sem.revoke("alice");
+        assert_eq!(
+            sem.decrypt_token_encoded(pkg.params(), "alice", &u, None),
+            Err(Error::Revoked)
+        );
+        assert_eq!(
+            sem.decrypt_token_encoded(pkg.params(), "alice", &u[1..], None),
             Err(Error::InvalidCiphertext)
         );
     }

@@ -2,7 +2,8 @@
 //!
 //! These are the *same* formulas the pairing crate has always used
 //! (Jacobian double/add with the `a = 1` curve coefficient, 4-bit
-//! windowed scalar multiplication, Pippenger buckets) — written once
+//! windowed scalar multiplication, Pippenger buckets, and the
+//! inversion-free width-5 NAF test behind subgroup membership) — written once
 //! against [`FieldOps`] so the bigint reference backend and the
 //! fixed-width backend execute identical arithmetic and agree
 //! limb-for-limb.
@@ -246,6 +247,85 @@ pub fn scalar_mul<F: FieldOps>(f: &F, k: &[u64], p: AffineRef<'_, F::Elem>) -> A
     jp_to_affine(f, &acc)
 }
 
+/// Width-5 non-adjacent form of a public scalar, least significant
+/// digit first: every nonzero digit is odd with `|d| < 16`, and any
+/// two nonzero digits sit at least five positions apart, so a 160-bit
+/// scalar has about 27 of them. Empty for `k = 0`.
+pub fn naf5(k: &[u64]) -> Vec<i8> {
+    // One spare limb absorbs the carry when a negative digit rounds
+    // the remaining scalar up.
+    let mut k: Vec<u64> = k.iter().copied().chain([0]).collect();
+    let mut digits = Vec::with_capacity(64 * k.len());
+    while k.iter().any(|&l| l != 0) {
+        let mut d = 0i8;
+        if k[0] & 1 == 1 {
+            d = (k[0] & 31) as i8;
+            if d >= 16 {
+                d -= 32;
+            }
+            if d > 0 {
+                // The low five bits are d, so no borrow leaves limb 0.
+                k[0] -= d as u64;
+            } else {
+                let mut carry = u64::from(d.unsigned_abs());
+                for limb in k.iter_mut() {
+                    let (sum, overflow) = limb.overflowing_add(carry);
+                    *limb = sum;
+                    carry = u64::from(overflow);
+                    if carry == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        digits.push(d);
+        for i in 0..k.len() {
+            let high = k.get(i + 1).map_or(0, |l| l << 63);
+            k[i] = (k[i] >> 1) | high;
+        }
+    }
+    digits
+}
+
+/// `true` iff `k·P` is the identity, for a public scalar `k` given as
+/// its [`naf5`] digits.
+///
+/// The membership test `[r]P = O` needs only this bit, so it skips
+/// everything [`scalar_mul`] spends on producing a point: the odd
+/// multiples `P, 3P, …, 15P` stay in Jacobian coordinates, the result
+/// is never converted to affine, and no field inversion runs at all.
+/// Variable time in `k`; use it only for public scalars such as the
+/// group order.
+pub fn mul_is_identity<F: FieldOps>(f: &F, naf: &[i8], p: AffineRef<'_, F::Elem>) -> bool {
+    if naf.is_empty() || p.is_none() {
+        return true;
+    }
+    let base = jp_from_affine(f, p);
+    let twice = jp_double(f, &base);
+    let mut odd = Vec::with_capacity(8);
+    odd.push(base);
+    for i in 1..8 {
+        let next = jp_add(f, &odd[i - 1], &twice);
+        odd.push(next);
+    }
+    let mut acc = jp_infinity(f);
+    for &d in naf.iter().rev() {
+        acc = jp_double(f, &acc);
+        let entry = &odd[usize::from(d.unsigned_abs() / 2)];
+        if d > 0 {
+            acc = jp_add(f, &acc, entry);
+        } else if d < 0 {
+            let negated = JPoint {
+                x: entry.x.clone(),
+                y: f.neg(&entry.y),
+                z: entry.z.clone(),
+            };
+            acc = jp_add(f, &acc, &negated);
+        }
+    }
+    jp_is_infinity(f, &acc)
+}
+
 /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` via Pippenger's bucket method
 /// (same window schedule as the reference implementation).
 pub fn multi_scalar_mul<F: FieldOps>(
@@ -384,6 +464,45 @@ mod tests {
         assert!(affine_add(&F11, as_ref(&t), as_ref(&t)).is_none());
         assert!(scalar_mul(&F11, &[2], as_ref(&t)).is_none());
         assert_eq!(scalar_mul(&F11, &[3], as_ref(&t)), t);
+    }
+
+    #[test]
+    fn naf5_digits_recompose_the_scalar() {
+        // Below 2^126, so every partial sum fits an i128.
+        let scalars: [&[u64]; 6] = [
+            &[0],
+            &[1],
+            &[31],
+            &[u64::MAX],
+            &[0x0123_4567_89ab_cdef, 0x2fff_ffff_ffff_fff1],
+            &[u64::MAX, u64::MAX >> 2],
+        ];
+        for k in scalars {
+            let naf = naf5(k);
+            let value: i128 = naf
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| i128::from(d) << i)
+                .sum();
+            let expect = u128::from(k[0]) | (u128::from(*k.get(1).unwrap_or(&0)) << 64);
+            assert_eq!(value as u128, expect, "{k:?}");
+            assert!(naf.iter().all(|&d| d == 0 || (d % 2 != 0 && d.abs() < 16)));
+            let nonzero: Vec<usize> = (0..naf.len()).filter(|&i| naf[i] != 0).collect();
+            assert!(nonzero.windows(2).all(|w| w[1] - w[0] >= 5), "{k:?}");
+        }
+    }
+
+    #[test]
+    fn mul_is_identity_matches_scalar_mul_exhaustively() {
+        for p in all_points(&F11) {
+            for k in 0u64..=40 {
+                assert_eq!(
+                    mul_is_identity(&F11, &naf5(&[k]), as_ref(&p)),
+                    scalar_mul(&F11, &[k], as_ref(&p)).is_none(),
+                    "k={k} p={p:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -123,6 +123,16 @@ pub(crate) fn mul(f: &FpCtx, k: &BigUint, p: &G1Affine) -> G1Affine {
     G1Affine(fcurve::scalar_mul(f, k.limbs(), p.coordinates()))
 }
 
+/// `true` iff `k·P = O`, for a public `k` given as its width-5 NAF
+/// ([`sempair_field::curve::naf5`]): the inversion-free predicate
+/// behind every subgroup-membership check.
+pub(crate) fn mul_is_identity(f: &FpCtx, naf: &[i8], p: &G1Affine) -> bool {
+    match f.fixed() {
+        Some(fx) => fixed::mul_is_identity(fx, naf, p),
+        None => fcurve::mul_is_identity(f, naf, p.coordinates()),
+    }
+}
+
 /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` via Pippenger's bucket method
 /// (see [`sempair_field::curve::multi_scalar_mul`] for the cost model).
 pub(crate) fn multi_mul(f: &FpCtx, terms: &[(BigUint, G1Affine)]) -> G1Affine {

@@ -207,6 +207,14 @@ pub(crate) fn mul(fx: &FixedCtx, k: &BigUint, p: &G1Affine) -> G1Affine {
     with_width!(fx, go(k, p))
 }
 
+/// `true` iff `k·P = O`, for a public `k` given as its width-5 NAF.
+pub(crate) fn mul_is_identity(fx: &FixedCtx, naf: &[i8], p: &G1Affine) -> bool {
+    fn go<const N: usize>(f: &MontCtx<N>, naf: &[i8], p: &G1Affine) -> bool {
+        fcurve::mul_is_identity(f, naf, as_ref(&point_to_fixed::<N>(p)))
+    }
+    with_width!(fx, go(naf, p))
+}
+
 /// Pippenger multi-scalar multiplication `Σ kᵢ·Pᵢ`. Caller guarantees
 /// every scalar fits.
 pub(crate) fn multi_mul(fx: &FixedCtx, terms: &[(BigUint, G1Affine)]) -> G1Affine {

@@ -183,9 +183,9 @@ impl FpCtx {
     ///
     /// For `p ≡ 3 (mod 4)` this is a single exponentiation; otherwise it
     /// falls back to Tonelli–Shanks on the canonical representative.
-    /// The returned root is the one with even canonical representative
-    /// parity being unspecified — callers that need a canonical choice
-    /// should compare with [`FpCtx::neg`].
+    /// Which of the two roots `±r` comes back is unspecified; callers
+    /// that need a particular one test [`FpCtx::parity`] and take
+    /// [`FpCtx::neg`] when it does not match.
     pub fn sqrt(&self, a: &Fp) -> Option<Fp> {
         if a.is_zero() {
             return Some(self.zero());

@@ -78,6 +78,8 @@ pub enum DecodeError {
     NotOnCurve,
     /// The encoded coordinate is not reduced modulo `p`.
     NotReduced,
+    /// The point is on the curve but outside the order-`r` subgroup.
+    NotInSubgroup,
 }
 
 impl fmt::Display for DecodeError {
@@ -89,6 +91,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadFlag(b) => write!(f, "invalid point-encoding flag byte {b:#04x}"),
             DecodeError::NotOnCurve => write!(f, "x-coordinate is not on the curve"),
             DecodeError::NotReduced => write!(f, "coordinate is not reduced modulo p"),
+            DecodeError::NotInSubgroup => write!(f, "point is outside the order-r subgroup"),
         }
     }
 }

@@ -6,6 +6,7 @@ use crate::fp2;
 use crate::pairing_impl::{self, Gt, MillerStrategy, PreparedG1};
 use crate::DecodeError;
 use sempair_bigint::{prime, rng as brng, BigUint};
+use sempair_field::curve as fcurve;
 use sempair_hash::derive;
 use std::error::Error as StdError;
 use std::fmt;
@@ -46,6 +47,10 @@ pub struct CurveParams {
     cofactor: BigUint,
     fp: FpCtx,
     generator: G1Affine,
+    /// Width-5 NAF digits of `r`, the scalar of every membership check
+    /// ([`CurveParams::is_in_group`]). Public, so variable-time use is
+    /// fine; computed once per parameter set and shared by every clone.
+    r_naf: Arc<[i8]>,
     /// Lazily built fixed-base table for [`CurveParams::mul_generator`]:
     /// `table[i][d] = d·2^{4i}·P` for 4-bit windows, turning every
     /// generator multiplication into ~⌈|r|/4⌉ mixed additions with no
@@ -125,7 +130,8 @@ impl CurveParams {
         let (p, cofactor) = prime::prime_in_progression(rng, &r, p_bits)
             .map_err(|_| ParamsError::SearchExhausted)?;
         let fp = FpCtx::new(&p).expect("p is odd");
-        let generator = derive_generator(&fp, &r, &cofactor)
+        let r_naf: Arc<[i8]> = fcurve::naf5(r.limbs()).into();
+        let generator = derive_generator(&fp, &r_naf, &cofactor)
             .ok_or(ParamsError::Invalid("no generator found"))?;
         Ok(CurveParams {
             p,
@@ -133,6 +139,7 @@ impl CurveParams {
             cofactor,
             fp,
             generator,
+            r_naf,
             gen_table: Arc::default(),
             prep_gen: Arc::default(),
         })
@@ -171,7 +178,8 @@ impl CurveParams {
             return Err(ParamsError::Invalid("generator not on curve"));
         }
         let generator = G1Affine::from_xy_unchecked(x, y);
-        if generator.is_infinity() || !curve::mul(&fp, r, &generator).is_infinity() {
+        let r_naf: Arc<[i8]> = fcurve::naf5(r.limbs()).into();
+        if generator.is_infinity() || !curve::mul_is_identity(&fp, &r_naf, &generator) {
             return Err(ParamsError::Invalid("generator does not have order r"));
         }
         Ok(CurveParams {
@@ -180,6 +188,7 @@ impl CurveParams {
             cofactor,
             fp,
             generator,
+            r_naf,
             gen_table: Arc::default(),
             prep_gen: Arc::default(),
         })
@@ -338,9 +347,12 @@ impl CurveParams {
 
     /// `true` iff `point` lies on the curve **and** in the order-`r`
     /// subgroup.
+    ///
+    /// The `[r]P = O` test runs on the inversion-free NAF predicate
+    /// ([`sempair_field::curve::mul_is_identity`]), at a little over
+    /// half the cost of computing `[r]P` with [`CurveParams::mul`].
     pub fn is_in_group(&self, point: &G1Affine) -> bool {
-        self.is_on_curve(point)
-            && (point.is_infinity() || curve::mul(&self.fp, &self.r, point).is_infinity())
+        self.is_on_curve(point) && curve::mul_is_identity(&self.fp, &self.r_naf, point)
     }
 
     /// `true` iff `point` satisfies the curve equation — weaker (and
@@ -588,7 +600,9 @@ impl CurveParams {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] for malformed or off-curve input.
+    /// Returns a [`DecodeError`] for malformed input, an off-curve
+    /// x-coordinate ([`DecodeError::NotOnCurve`]), or a curve point
+    /// outside the order-`r` subgroup ([`DecodeError::NotInSubgroup`]).
     pub fn point_from_bytes(&self, bytes: &[u8]) -> Result<G1Affine, DecodeError> {
         if bytes.len() != self.point_len() {
             return Err(DecodeError::BadLength {
@@ -622,8 +636,8 @@ impl CurveParams {
                     y = f.neg(&y);
                 }
                 let point = G1Affine::from_xy_unchecked(xe, y);
-                if !self.is_in_group(&point) {
-                    return Err(DecodeError::NotOnCurve);
+                if !curve::mul_is_identity(f, &self.r_naf, &point) {
+                    return Err(DecodeError::NotInSubgroup);
                 }
                 Ok(point)
             }
@@ -641,8 +655,9 @@ impl CurveParams {
 }
 
 /// Derives a generator of the order-`r` subgroup deterministically from
-/// a fixed tag, by try-and-increment + cofactor clearing.
-fn derive_generator(f: &FpCtx, r: &BigUint, cofactor: &BigUint) -> Option<G1Affine> {
+/// a fixed tag, by try-and-increment + cofactor clearing. `r_naf` holds
+/// the width-5 NAF digits of `r`.
+fn derive_generator(f: &FpCtx, r_naf: &[i8], cofactor: &BigUint) -> Option<G1Affine> {
     for x in derive::hash_to_field_candidates(b"sempair-generator", b"v1", f.modulus()).take(512) {
         let xe = f.from_uint(&x);
         let rhs = f.add(&f.mul(&f.sqr(&xe), &xe), &xe);
@@ -650,7 +665,7 @@ fn derive_generator(f: &FpCtx, r: &BigUint, cofactor: &BigUint) -> Option<G1Affi
             let candidate = G1Affine::from_xy_unchecked(xe, y);
             let cleared = curve::mul(f, cofactor, &candidate);
             if !cleared.is_infinity() {
-                debug_assert!(curve::mul(f, r, &cleared).is_infinity());
+                debug_assert!(curve::mul_is_identity(f, r_naf, &cleared));
                 return Some(cleared);
             }
         }

@@ -1442,35 +1442,21 @@ fn serve_item(
     let params = &shared.params;
     match op {
         Op::IbeToken => {
-            let response = match params.curve().point_from_bytes(body) {
-                Err(_) => Response {
-                    status: Status::Invalid,
+            // Decoding `U` is the request's one membership check. With
+            // the tier enabled the token comes from the cached prepared
+            // half-key (byte-identical — the modified pairing is
+            // symmetric, proven in sempair-core's mediated tests);
+            // disabled, from the plain pairing.
+            let prepared = shared.tier.enabled().then(|| shared.tier.half_keys());
+            let response = match inner.ibe.decrypt_token_encoded(params, id, body, prepared) {
+                Ok(token) => Response {
+                    status: Status::Ok,
+                    body: params.curve().gt_to_bytes(&token.0),
+                },
+                Err(e) => Response {
+                    status: Status::from_error(&e),
                     body: vec![],
                 },
-                Ok(u) => {
-                    // With the tier enabled, serve through the cached
-                    // prepared half-key (byte-identical tokens — the
-                    // modified pairing is symmetric, proven in
-                    // sempair-core's mediated tests); disabled, take
-                    // the plain pairing path exactly as before.
-                    let token = if shared.tier.enabled() {
-                        inner
-                            .ibe
-                            .decrypt_token_cached(params, id, &u, shared.tier.half_keys())
-                    } else {
-                        inner.ibe.decrypt_token(params, id, &u)
-                    };
-                    match token {
-                        Ok(token) => Response {
-                            status: Status::Ok,
-                            body: params.curve().gt_to_bytes(&token.0),
-                        },
-                        Err(e) => Response {
-                            status: Status::from_error(&e),
-                            body: vec![],
-                        },
-                    }
-                }
             };
             (Capability::IbeDecrypt, response)
         }
@@ -2283,6 +2269,68 @@ mod tests {
             Status::Unknown
         );
         server.shutdown();
+    }
+
+    /// The token op decodes `U` (its one membership check) before it
+    /// looks at revocation, so a bad `U` is `Invalid` even for a
+    /// revoked identity, and its tokens match `Sem::decrypt_token`
+    /// byte for byte with the cache tier on and off.
+    #[test]
+    fn token_op_decodes_u_once_then_checks_revocation() {
+        for cache_cap in [64, 0] {
+            let (pkg, server, mut rng) = setup_with(ServerConfig {
+                cache_cap,
+                ..ServerConfig::default()
+            });
+            let params = pkg.params();
+            let curve = params.curve();
+            let (_, sem_key) = pkg.extract_split(&mut rng, "alice");
+            let mut reference = Sem::new();
+            reference.install(sem_key.clone());
+            server.install_ibe(sem_key);
+            let c = params.encrypt_full(&mut rng, "alice", b"m").unwrap();
+            let mut x = sempair_bigint::BigUint::one();
+            let outside = loop {
+                if let Some((p, _)) = curve.lift_x(&x) {
+                    if !curve.is_in_group(&p) {
+                        break p;
+                    }
+                }
+                x = &x + &sempair_bigint::BigUint::one();
+            };
+            let mut malformed = curve.point_to_bytes(&c.u);
+            malformed[0] = 0x07;
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            let mut ask = |u: &[u8]| {
+                let req = Request {
+                    op: Op::IbeToken,
+                    id: "alice".into(),
+                    body: u.to_vec(),
+                };
+                stream
+                    .write_all(&proto::encode_request(&req).unwrap())
+                    .unwrap();
+                let payload = read_frame(&mut stream).unwrap().unwrap();
+                proto::decode_response(&payload).unwrap()
+            };
+            let expect =
+                curve.gt_to_bytes(&reference.decrypt_token(params, "alice", &c.u).unwrap().0);
+            // Twice: with the tier on, a miss and then a hit.
+            for _ in 0..2 {
+                let reply = ask(&curve.point_to_bytes(&c.u));
+                assert_eq!(
+                    (reply.status, &reply.body),
+                    (Status::Ok, &expect),
+                    "cap {cache_cap}"
+                );
+            }
+            assert_eq!(ask(&curve.point_to_bytes(&outside)).status, Status::Invalid);
+            server.revoke("alice");
+            assert_eq!(ask(&malformed).status, Status::Invalid);
+            assert_eq!(ask(&curve.point_to_bytes(&outside)).status, Status::Invalid);
+            assert_eq!(ask(&curve.point_to_bytes(&c.u)).status, Status::Revoked);
+            server.shutdown();
+        }
     }
 
     #[test]

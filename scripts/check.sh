@@ -49,8 +49,14 @@ cargo test -q --workspace --exclude sempair-net
 # Pairing perf trajectory: one JSON artifact per run, stable schema
 # (sempair-bench-pairing/1), written to the repo root so the number
 # trail survives per PR. ~1 min: it times the bigint reference too.
+# The point-decode and subgroup-check rows must be present: they are
+# the layers the token path's decode splits into.
 echo "== pairing benchmark (writes BENCH_pairing.json)"
 cargo run --release -q -p sempair-bench --bin pairing_bench
+for row in point_decode_fixed subgroup_check_fixed; do
+  grep -q "\"name\": \"$row\"" BENCH_pairing.json \
+    || { echo "BENCH_pairing.json has no $row row" >&2; exit 1; }
+done
 
 # Serving perf trajectory (sempair-bench-serving/2): pipelined vs
 # single-in-flight throughput, tail latency under a one-shard
