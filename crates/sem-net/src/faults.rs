@@ -34,6 +34,7 @@
 //! cluster chaos tests kill a specific SEM mid-workload and later
 //! bring it back.
 
+use crate::tcp::prepare_stream;
 use crossbeam::channel;
 use sempair_core::lockdep::{LockClass, TrackedMutex};
 use std::io::{ErrorKind, Read, Write};
@@ -349,10 +350,17 @@ impl FaultProxy {
                             let _ = client.shutdown(Shutdown::Both);
                             continue;
                         }
-                        let _ = client.set_nonblocking(false);
+                        // Both legs are no-delay, so the only delay a
+                        // frame sees is the one this proxy models.
+                        if prepare_stream(&client).is_err() {
+                            continue;
+                        }
                         let Ok(server) = TcpStream::connect(upstream) else {
                             continue;
                         };
+                        if prepare_stream(&server).is_err() {
+                            continue;
+                        }
                         let (Ok(client2), Ok(server2)) = (client.try_clone(), server.try_clone())
                         else {
                             continue;
@@ -703,6 +711,42 @@ mod tests {
             };
             assert_ne!(xor, 0, "a zero mask would be a silent no-op");
         }
+    }
+
+    /// Both proxy legs are no-delay, so a frame is held only by the
+    /// delay the proxy models, never by Nagle's algorithm.
+    #[test]
+    fn both_proxy_legs_are_nodelay() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream_addr = upstream.local_addr().unwrap();
+        let echo = std::thread::spawn(move || {
+            let (mut stream, _) = upstream.accept().unwrap();
+            while let Ok(Some(payload)) = read_raw_frame(&mut stream) {
+                if stream.write_all(&encode_frame(&payload)).is_err() {
+                    break;
+                }
+            }
+        });
+        let proxy =
+            FaultProxy::spawn(upstream_addr, FaultPlan::clean(), FaultPlan::clean()).unwrap();
+        let mut client = TcpStream::connect(proxy.local_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // One echoed frame: the proxy registers both legs before it
+        // starts pumping.
+        client.write_all(&encode_frame(b"ping")).unwrap();
+        assert_eq!(read_raw_frame(&mut client).unwrap().unwrap(), b"ping");
+        {
+            let conns = proxy.conns.lock();
+            assert_eq!(conns.len(), 2, "client leg and server leg");
+            for stream in conns.iter() {
+                assert!(stream.nodelay().unwrap());
+            }
+        }
+        drop(client);
+        proxy.shutdown();
+        echo.join().unwrap();
     }
 
     #[test]

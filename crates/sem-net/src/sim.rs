@@ -97,15 +97,6 @@ pub struct SimResult {
     pub latency_hist: Histogram,
 }
 
-impl SimResult {
-    /// 99th-percentile latency, read from the full distribution at
-    /// bucket resolution — the model-predicted tail the scenario
-    /// harness reports next to each measured p99.
-    pub fn p99(&self) -> Duration {
-        Duration::from_micros(self.latency_hist.quantile(0.99))
-    }
-}
-
 /// One pending simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {

@@ -687,6 +687,19 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
+/// Readies a freshly accepted or connected socket for the frame
+/// protocol: blocking mode (accepted sockets may inherit the
+/// listener's non-blocking flag) and `TCP_NODELAY`. Every frame leaves
+/// in one `write_all`, so Nagle's algorithm has nothing to merge; it
+/// would only hold a reply until the peer acknowledged the previous
+/// one, and a peer delaying its ACK stalls that reply for up to 40 ms
+/// on Linux. Every daemon, client and proxy socket goes through here
+/// (DESIGN.md §8).
+pub(crate) fn prepare_stream(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)
+}
+
 impl TcpSemServer {
     /// Binds and starts serving with default deadlines. Use addr
     /// `"127.0.0.1:0"` to let the OS pick a port (see
@@ -1002,9 +1015,7 @@ fn accept_connection(
         // Dropping the socket closes it before any request is read.
         return;
     }
-    // Accepted sockets inherit non-blocking mode from the listener on
-    // some platforms; handlers want blocking reads under deadlines.
-    if stream.set_nonblocking(false).is_err() {
+    if prepare_stream(&stream).is_err() {
         return;
     }
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
@@ -1619,6 +1630,7 @@ impl TcpSemClient {
             };
             match attempt {
                 Ok(stream) => {
+                    prepare_stream(&stream)?;
                     let deadline = (!self.config.request_timeout.is_zero())
                         .then_some(self.config.request_timeout);
                     stream.set_read_timeout(deadline)?;
@@ -1991,6 +2003,7 @@ impl PipeClient {
         for addr in addr.to_socket_addrs()? {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
+                    prepare_stream(&stream)?;
                     let deadline = (!request_timeout.is_zero()).then_some(request_timeout);
                     stream.set_read_timeout(deadline)?;
                     stream.set_write_timeout(deadline)?;
@@ -2212,6 +2225,36 @@ mod tests {
         let again = client.metrics().unwrap();
         assert_eq!(again.totals, snapshot.totals);
         assert_eq!(again.transport, snapshot.transport);
+        server.shutdown();
+    }
+
+    /// Every socket the daemon accepts and every socket its clients
+    /// connect is no-delay (`prepare_stream`), so no reply waits on
+    /// Nagle's algorithm for the peer's ACK.
+    #[test]
+    fn every_daemon_and_client_socket_is_nodelay() {
+        let (pkg, server, _) = setup();
+        let mut client = TcpSemClient::connect(server.local_addr(), pkg.params().clone()).unwrap();
+        let mut pipe = PipeClient::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+        // One round trip each: the daemon registers a connection
+        // before it serves a frame from it.
+        client.stats_text().unwrap();
+        let curve = pkg.params().curve();
+        pipe.submit(&Request {
+            op: Op::IbeToken,
+            id: "ghost".into(),
+            body: curve.point_to_bytes(curve.generator()),
+        })
+        .unwrap();
+        assert!(matches!(pipe.recv().unwrap(), PipeReply::Reply(..)));
+        assert!(client.stream.as_ref().unwrap().nodelay().unwrap());
+        assert!(pipe.stream.nodelay().unwrap());
+        let conns = server.shared.conns.lock();
+        assert_eq!(conns.len(), 2);
+        for stream in conns.values() {
+            assert!(stream.nodelay().unwrap());
+        }
+        drop(conns);
         server.shutdown();
     }
 

@@ -72,6 +72,10 @@ timeout --kill-after=10s 300s cargo run --release -q -p sempair-bench --bin serv
   | tee "$serving_log"
 grep -q '"schema": "sempair-bench-serving/2"' BENCH_serving.json \
   || { echo "BENCH_serving.json is not schema sempair-bench-serving/2" >&2; exit 1; }
+# The loopback tail target (p99/p50 <= 4x over the cache sweep) is
+# recorded like the others; its field must be present.
+grep -q '"tail_ratio_ok": ' BENCH_serving.json \
+  || { echo "BENCH_serving.json has no tail_ratio_ok target" >&2; exit 1; }
 grep -q '^sem_cache_hits_total{cache="half_key"}' "$serving_log" \
   || { echo "serving smoke exposed no sem_cache_* counters over the stats op" >&2; exit 1; }
 rm -f "$serving_log"
