@@ -53,7 +53,7 @@ pub const SECRET_TYPES: &[&str] = &[
 
 /// Field names that carry raw secret scalars/points on the registered
 /// types. A formatting macro touching one of these is a leak.
-pub const SECRET_FIELDS: &[&str] = &["master", "coeffs", "x_user", "scalar"];
+pub const SECRET_FIELDS: &[&str] = &["master", "coeffs", "x_user", "x_sem", "scalar"];
 
 /// Formatting/logging macros audited by the R2 flow check.
 const FMT_MACROS: &[&str] = &[
@@ -715,6 +715,16 @@ mod tests {
         let findings = run_rules("test.rs", &raw, &scan(src), false, true, false);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "R3-bound");
+    }
+
+    #[test]
+    fn both_key_halves_are_secret_fields() {
+        for field in ["x_user", "x_sem"] {
+            let src = format!("fn f(k: &Key) {{\n    println!(\"{{}}\", k.{field});\n}}\n");
+            let findings = run(&src, false);
+            assert_eq!(findings.len(), 1, "{field}");
+            assert_eq!(findings[0].rule, "R2-secret");
+        }
     }
 
     #[test]

@@ -226,18 +226,27 @@ impl Sem {
         Ok(token(params, key, u, Some(prepared)))
     }
 
-    /// The SEM step for a `U` still in its compressed wire encoding:
-    /// decoding validates curve and subgroup membership once, and the
-    /// pairing then runs without checking again. Through `prepared`
-    /// when given, as [`Sem::decrypt_token_cached`]; otherwise as
-    /// [`Sem::decrypt_token`]. Same token bytes either way.
+    /// The SEM step for a `U` still in its compressed wire encoding,
+    /// decoded by [`CurveParams::point_from_bytes_for_pairing`]: curve
+    /// membership is checked, the `[r]U = O` check is not (unless the
+    /// parameter set has `r | h`). The token is the reduced Tate
+    /// pairing `t_r(d_sem, φ(U))` with `d_sem` on the Miller side,
+    /// which depends on `U` only modulo `rE`; with `r ∤ h` every
+    /// torsion part of `U` lies in `rE`, so `U = U_r + T` gets the
+    /// token of `U_r` byte for byte, and pure torsion gets 1. Through
+    /// `prepared` when given, as [`Sem::decrypt_token_cached`];
+    /// otherwise as [`Sem::decrypt_token`]. Same token bytes either
+    /// way, and the same as the typed paths for every `U ∈ G1`.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidCiphertext`] when `u` does not decode to a point
-    /// of `G1` — checked first, so a malformed request is refused as
-    /// such even for a revoked identity — then [`Error::Revoked`] and
+    /// [`Error::InvalidCiphertext`] when `u` does not decode to a curve
+    /// point (or, where `r | h`, to a point of `G1`) — checked first,
+    /// so a malformed request is refused as such even for a revoked
+    /// identity — then [`Error::Revoked`] and
     /// [`Error::UnknownIdentity`].
+    ///
+    /// [`CurveParams::point_from_bytes_for_pairing`]: sempair_pairing::CurveParams::point_from_bytes_for_pairing
     pub fn decrypt_token_encoded(
         &self,
         params: &IbePublicParams,
@@ -247,7 +256,7 @@ impl Sem {
     ) -> Result<DecryptToken, Error> {
         let u = params
             .curve()
-            .point_from_bytes(u)
+            .point_from_bytes_for_pairing(u)
             .map_err(|_| Error::InvalidCiphertext)?;
         let key = self.serving_key(id)?;
         Ok(token(params, key, &u, prepared))
@@ -282,8 +291,11 @@ impl Sem {
     }
 }
 
-/// `ê(U, d_sem)` for a `U` already known to lie in `G1`, through the
-/// prepared-half-key cache when one is given.
+/// `ê(U, d_sem)` through the prepared-half-key cache when one is
+/// given. `d_sem` is the Miller argument on both paths, so a `U` whose
+/// torsion the pairing ignores ([`Sem::decrypt_token_encoded`]) is
+/// paired as its `G1` part; `ê` is symmetric on `G1`, so a `U ∈ G1`
+/// gets `ê(U, d_sem)` either way.
 fn token(
     params: &IbePublicParams,
     key: &SemKey,
@@ -292,7 +304,7 @@ fn token(
 ) -> DecryptToken {
     let curve = params.curve();
     let Some(prepared) = prepared else {
-        return DecryptToken(curve.pairing(u, &key.point));
+        return DecryptToken(curve.pairing(&key.point, u));
     };
     // Prepared outside the cache lock on a miss; concurrent misses on
     // one identity duplicate work instead of serializing.
@@ -523,7 +535,7 @@ mod tests {
     fn sem_validates_group_membership_of_u() {
         let (pkg, sem, _, _) = setup();
         // A point on the curve but outside the order-r subgroup must be
-        // rejected (small-subgroup defence).
+        // rejected by the typed paths (small-subgroup defence).
         let curve = pkg.params().curve();
         let mut x = sempair_bigint::BigUint::one();
         let outside = loop {
@@ -543,11 +555,19 @@ mod tests {
             sem.decrypt_token_cached(pkg.params(), "alice", &outside, &prepared),
             Err(Error::InvalidCiphertext)
         );
+        // The encoded path pairs it as its G1 part U_r = [e]U, where
+        // e ≡ 1 (mod r) and e ≡ 0 (mod h): the pairing ignores torsion.
+        assert!(curve.pairing_ignores_torsion());
+        let (r, h) = (curve.order(), curve.cofactor());
+        let e = h * &sempair_bigint::modular::mod_inv(&(h % r), r).unwrap();
+        let projected = curve.mul(&e, &outside);
+        let expect = sem.decrypt_token(pkg.params(), "alice", &projected);
+        assert!(expect.is_ok());
         let encoded = curve.point_to_bytes(&outside);
         for cache in [None, Some(&prepared)] {
             assert_eq!(
                 sem.decrypt_token_encoded(pkg.params(), "alice", &encoded, cache),
-                Err(Error::InvalidCiphertext)
+                expect
             );
         }
     }

@@ -51,6 +51,11 @@ pub struct CurveParams {
     /// ([`CurveParams::is_in_group`]). Public, so variable-time use is
     /// fine; computed once per parameter set and shared by every clone.
     r_naf: Arc<[i8]>,
+    /// `true` iff `r ∤ (p+1)/r`: then every torsion part a point can
+    /// carry off the subgroup lies in `rE`, where the reduced Tate
+    /// pairing cannot see it ([`CurveParams::point_from_bytes_for_pairing`]).
+    /// Computed once per parameter set, beside `r_naf`.
+    pairing_ignores_torsion: bool,
     /// Lazily built fixed-base table for [`CurveParams::mul_generator`]:
     /// `table[i][d] = d·2^{4i}·P` for 4-bit windows, turning every
     /// generator multiplication into ~⌈|r|/4⌉ mixed additions with no
@@ -134,6 +139,7 @@ impl CurveParams {
         let generator = derive_generator(&fp, &r_naf, &cofactor)
             .ok_or(ParamsError::Invalid("no generator found"))?;
         Ok(CurveParams {
+            pairing_ignores_torsion: !(&cofactor % &r).is_zero(),
             p,
             r,
             cofactor,
@@ -185,6 +191,7 @@ impl CurveParams {
         Ok(CurveParams {
             p: p.clone(),
             r: r.clone(),
+            pairing_ignores_torsion: !(&cofactor % r).is_zero(),
             cofactor,
             fp,
             generator,
@@ -254,6 +261,13 @@ impl CurveParams {
     /// The cofactor `(p + 1) / r`.
     pub fn cofactor(&self) -> &BigUint {
         &self.cofactor
+    }
+
+    /// `true` iff `r` does not divide the cofactor `(p+1)/r`. The token
+    /// decoder [`CurveParams::point_from_bytes_for_pairing`] skips the
+    /// subgroup check exactly when this holds.
+    pub fn pairing_ignores_torsion(&self) -> bool {
+        self.pairing_ignores_torsion
     }
 
     /// The base-field context.
@@ -604,6 +618,35 @@ impl CurveParams {
     /// x-coordinate ([`DecodeError::NotOnCurve`]), or a curve point
     /// outside the order-`r` subgroup ([`DecodeError::NotInSubgroup`]).
     pub fn point_from_bytes(&self, bytes: &[u8]) -> Result<G1Affine, DecodeError> {
+        self.decode_point(bytes, true)
+    }
+
+    /// Decodes a compressed point that will only ever be the second,
+    /// non-Miller argument `Q` of the reduced Tate pairing
+    /// `t_r(P, φ(Q))` with `P ∈ G1` — the SEM's `U` in `ê(d_sem, U)`.
+    /// The output is valid for nothing else: not as a Miller argument,
+    /// not for scalar multiplication by a secret, not as a key or a
+    /// signature.
+    ///
+    /// The length, flag, reduced-`x` and on-curve checks run as in
+    /// [`CurveParams::point_from_bytes`]; the `[r]Q = O` check is
+    /// skipped when [`CurveParams::pairing_ignores_torsion`] holds.
+    /// Then `Q = Q_r + T` with `T`'s order dividing `h = (p+1)/r` and
+    /// coprime to `r`, so `T ∈ rE` and, the reduced pairing being
+    /// defined on `E/rE`, `t_r(P, φ(Q)) = t_r(P, φ(Q_r))` byte for byte.
+    /// Anyone holding `Q` can compute `Q_r`, so pairing `Q` reveals
+    /// nothing that pairing `Q_r` does not. Where `r | h` the full
+    /// check runs.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`CurveParams::point_from_bytes`];
+    /// [`DecodeError::NotInSubgroup`] only where `r | h`.
+    pub fn point_from_bytes_for_pairing(&self, bytes: &[u8]) -> Result<G1Affine, DecodeError> {
+        self.decode_point(bytes, !self.pairing_ignores_torsion)
+    }
+
+    fn decode_point(&self, bytes: &[u8], check_subgroup: bool) -> Result<G1Affine, DecodeError> {
         if bytes.len() != self.point_len() {
             return Err(DecodeError::BadLength {
                 expected: self.point_len(),
@@ -636,7 +679,7 @@ impl CurveParams {
                     y = f.neg(&y);
                 }
                 let point = G1Affine::from_xy_unchecked(xe, y);
-                if !curve::mul_is_identity(f, &self.r_naf, &point) {
+                if check_subgroup && !curve::mul_is_identity(f, &self.r_naf, &point) {
                     return Err(DecodeError::NotInSubgroup);
                 }
                 Ok(point)

@@ -54,7 +54,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Replay refuses to allocate a record larger than this; a bigger
@@ -230,6 +230,9 @@ impl ReplayedState {
 pub struct Journal {
     path: PathBuf,
     file: File,
+    /// `false` from the creation of the file until its first append
+    /// has synced the parent directory ([`Journal::append`]).
+    name_durable: bool,
 }
 
 impl Journal {
@@ -244,11 +247,13 @@ impl Journal {
     /// [`ReplayedState::truncated_bytes`]).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Journal, ReplayedState)> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
+        let mut options = OpenOptions::new();
+        options.read(true).append(true);
+        let (mut file, name_durable) = match options.clone().create_new(true).open(&path) {
+            Ok(file) => (file, false),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => (options.open(&path)?, true),
+            Err(e) => return Err(e),
+        };
         let mut raw = Vec::new();
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut raw)?;
@@ -267,10 +272,23 @@ impl Journal {
             file.set_len(offset as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
-        Ok((Journal { path, file }, state))
+        Ok((
+            Journal {
+                path,
+                file,
+                name_durable,
+            },
+            state,
+        ))
     }
 
-    /// Appends one record and flushes it to the operating system.
+    /// Appends one record and flushes it to the operating system. The
+    /// first append to a file this journal created also syncs the
+    /// parent directory: `sync_data` persists the file's contents, not
+    /// the directory entry that names it, and without that entry a
+    /// power loss would leave no journal to replay. Syncing here rather
+    /// than at creation keeps the cost off start-up and still precedes
+    /// every acknowledged record.
     ///
     /// # Errors
     ///
@@ -287,7 +305,13 @@ impl Journal {
         frame.extend_from_slice(&crc32(&payload).to_be_bytes());
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame)?;
-        self.file.sync_data()
+        self.file.sync_data()?;
+        if !self.name_durable {
+            let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+            self.name_durable = true;
+        }
+        Ok(())
     }
 
     /// The journal's on-disk path.

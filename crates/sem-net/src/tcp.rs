@@ -1453,11 +1453,12 @@ fn serve_item(
     let params = &shared.params;
     match op {
         Op::IbeToken => {
-            // Decoding `U` is the request's one membership check. With
-            // the tier enabled the token comes from the cached prepared
-            // half-key (byte-identical — the modified pairing is
-            // symmetric, proven in sempair-core's mediated tests);
-            // disabled, from the plain pairing.
+            // `U` is decoded onto the curve but not checked for
+            // membership: the token pairs it on the non-Miller side,
+            // which ignores its torsion (DESIGN §14). With the tier
+            // enabled the token comes from the cached prepared half-key
+            // (byte-identical, proven in sempair-core's mediated
+            // tests); disabled, from the plain pairing.
             let prepared = shared.tier.enabled().then(|| shared.tier.half_keys());
             let response = match inner.ibe.decrypt_token_encoded(params, id, body, prepared) {
                 Ok(token) => Response {
@@ -2367,10 +2368,28 @@ mod tests {
                     "cap {cache_cap}"
                 );
             }
-            assert_eq!(ask(&curve.point_to_bytes(&outside)).status, Status::Invalid);
+            // A U outside G1 is served as its G1 part U_r = [e]U, with
+            // e ≡ 1 (mod r) and e ≡ 0 (mod h): the token pairing
+            // ignores U's torsion, so the check is skipped.
+            assert!(curve.pairing_ignores_torsion());
+            let (r, h) = (curve.order(), curve.cofactor());
+            let e = h * &sempair_bigint::modular::mod_inv(&(h % r), r).unwrap();
+            let projected = curve.mul(&e, &outside);
+            let expect_outside = curve.gt_to_bytes(
+                &reference
+                    .decrypt_token(params, "alice", &projected)
+                    .unwrap()
+                    .0,
+            );
+            let reply = ask(&curve.point_to_bytes(&outside));
+            assert_eq!(
+                (reply.status, &reply.body),
+                (Status::Ok, &expect_outside),
+                "cap {cache_cap}"
+            );
             server.revoke("alice");
             assert_eq!(ask(&malformed).status, Status::Invalid);
-            assert_eq!(ask(&curve.point_to_bytes(&outside)).status, Status::Invalid);
+            assert_eq!(ask(&curve.point_to_bytes(&outside)).status, Status::Revoked);
             assert_eq!(ask(&curve.point_to_bytes(&c.u)).status, Status::Revoked);
             server.shutdown();
         }

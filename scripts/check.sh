@@ -50,10 +50,11 @@ cargo test -q --workspace --exclude sempair-net
 # (sempair-bench-pairing/1), written to the repo root so the number
 # trail survives per PR. ~1 min: it times the bigint reference too.
 # The point-decode and subgroup-check rows must be present: they are
-# the layers the token path's decode splits into.
+# the layers the checked decode splits into, and the token decode is
+# the checked one minus the subgroup check.
 echo "== pairing benchmark (writes BENCH_pairing.json)"
 cargo run --release -q -p sempair-bench --bin pairing_bench
-for row in point_decode_fixed subgroup_check_fixed; do
+for row in point_decode_fixed subgroup_check_fixed point_decode_token_fixed; do
   grep -q "\"name\": \"$row\"" BENCH_pairing.json \
     || { echo "BENCH_pairing.json has no $row row" >&2; exit 1; }
 done
