@@ -15,6 +15,7 @@
 pub mod rules;
 pub mod scan;
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// One rule violation.
@@ -25,7 +26,7 @@ pub struct Finding {
     pub rule: &'static str,
     /// Repo-relative file path.
     pub file: String,
-    /// 1-based line number.
+    /// 1-based line number; 0 for a finding about a whole file.
     pub line: usize,
     /// Human-readable description.
     pub message: String,
@@ -49,7 +50,6 @@ pub struct Report {
 /// is a no-panic zone, not just its decode functions (§4 keeps the SEM
 /// online for the system's lifetime — a panic is a remote crash).
 const PANIC_SCOPE: &[&str] = &[
-    "crates/sem-net/src/server.rs",
     "crates/sem-net/src/tcp.rs",
     "crates/sem-net/src/proto.rs",
     "crates/sem-net/src/store.rs",
@@ -81,7 +81,6 @@ const BOUND_SCOPE: &[&str] = &[
 /// forces everyone else onto.
 const LOCK_SCOPE: &[&str] = &[
     "crates/sem-net/src/tcp.rs",
-    "crates/sem-net/src/server.rs",
     "crates/sem-net/src/cluster.rs",
     "crates/sem-net/src/audit.rs",
     "crates/sem-net/src/faults.rs",
@@ -89,6 +88,13 @@ const LOCK_SCOPE: &[&str] = &[
     "crates/sem-net/src/scenario.rs",
     "crates/sem-net/src/store.rs",
     "crates/core/src/cache.rs",
+];
+
+/// Each file-wide scope list with the rule it widens.
+const SCOPES: &[(&str, &[&str])] = &[
+    ("R1-panic", PANIC_SCOPE),
+    ("R3-bound", BOUND_SCOPE),
+    ("R5-lock", LOCK_SCOPE),
 ];
 
 /// Every rule ID, in catalogue order (the JSON rule summary always
@@ -162,11 +168,40 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, String)>) {
     }
 }
 
-/// Audits every in-scope source file under `root` (the repo root).
+/// One finding per scope-list entry the walk did not find. A renamed
+/// or deleted module would otherwise drop out of its rule's file-wide
+/// scan without a word.
+fn stale_scope_findings(walked: &HashSet<String>) -> Vec<Finding> {
+    SCOPES
+        .iter()
+        .flat_map(|&(rule, files)| {
+            files
+                .iter()
+                .filter(|file| !walked.contains(**file))
+                .map(move |file| Finding {
+                    rule,
+                    file: (*file).to_string(),
+                    line: 0,
+                    message: format!(
+                        "scope list names `{file}`, which is not in the tree: fix the \
+                         list or the rule's file-wide scan misses the module"
+                    ),
+                    allowed: None,
+                })
+        })
+        .collect()
+}
+
+/// Audits every in-scope source file under `root` (the repo root),
+/// and reports every scope-list entry missing from the tree.
 pub fn audit_workspace(root: &Path) -> Report {
     let mut files = Vec::new();
     walk(root, root, &mut files);
-    let mut report = Report::default();
+    let walked: HashSet<String> = files.iter().map(|(_, rel)| rel.clone()).collect();
+    let mut report = Report {
+        findings: stale_scope_findings(&walked),
+        ..Report::default()
+    };
     for (path, rel) in files {
         let Ok(source) = std::fs::read_to_string(&path) else {
             continue;
@@ -291,6 +326,27 @@ mod tests {
         let json = finding_json(&f);
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("\\n"));
+    }
+
+    /// A tree missing one scoped file audits to exactly one finding,
+    /// under the rule whose scope list names it.
+    #[test]
+    fn missing_scoped_file_is_a_finding() {
+        let root =
+            std::env::temp_dir().join(format!("sempair-auditor-scope-{}", std::process::id()));
+        let missing = "crates/sem-net/src/proto.rs";
+        for &(_, files) in SCOPES {
+            for file in files.iter().filter(|file| **file != missing) {
+                let path = root.join(file);
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                std::fs::write(&path, "").unwrap();
+            }
+        }
+        let report = audit_workspace(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(report.findings.len(), 1, "{}", report.to_text());
+        assert_eq!(report.findings[0].rule, "R1-panic");
+        assert_eq!(report.findings[0].file, missing);
     }
 
     #[test]

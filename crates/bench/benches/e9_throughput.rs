@@ -1,13 +1,14 @@
-//! E9 — SEM server token throughput vs worker count.
+//! E9 — SEM daemon token throughput vs worker count.
 //!
 //! Paper claim (§4): one online SEM serves the whole system; this bench
-//! measures how token service scales with worker threads on one host.
+//! measures how token service over loopback TCP scales with the
+//! daemon's pool workers on one host.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sempair_core::bf_ibe::Pkg;
-use sempair_net::server::{drive_throughput, drive_throughput_batched, SemServer};
+use sempair_net::tcp::{drive_throughput, ServerConfig, TcpSemServer};
 use sempair_pairing::CurveParams;
 use std::time::Duration;
 
@@ -28,10 +29,16 @@ fn bench_server_throughput(c: &mut Criterion) {
     const REQUESTS: usize = 64;
     group.throughput(Throughput::Elements(REQUESTS as u64));
     for workers in [1usize, 2, 4, 8] {
-        let server = SemServer::spawn(pkg.params().clone(), workers);
+        let config = ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        };
+        let server = TcpSemServer::bind_with("127.0.0.1:0", pkg.params().clone(), config).unwrap();
         server.install_ibe(sem_key.clone());
         group.bench_function(BenchmarkId::new("tokens", format!("w{workers}")), |b| {
-            b.iter(|| drive_throughput(&server, "load", &ct.u, workers.min(4), REQUESTS).unwrap())
+            b.iter(|| {
+                drive_throughput(&server, "load", &ct.u, workers.min(4), REQUESTS, 1).unwrap()
+            })
         });
         server.shutdown();
     }
@@ -55,15 +62,15 @@ fn bench_batched_endpoint(c: &mut Criterion) {
     const REQUESTS: usize = 64;
     group.throughput(Throughput::Elements(REQUESTS as u64));
     // Same request stream, same pairing work per token — the deltas
-    // below are pure channel-hop and lock-acquisition amortization.
-    let server = SemServer::spawn(pkg.params().clone(), 4);
+    // below are pure frame round-trip and pool-hop amortization.
+    let server = TcpSemServer::bind("127.0.0.1:0", pkg.params().clone()).unwrap();
     server.install_ibe(sem_key.clone());
     group.bench_function("single_requests", |b| {
-        b.iter(|| drive_throughput(&server, "load", &ct.u, 2, REQUESTS).unwrap())
+        b.iter(|| drive_throughput(&server, "load", &ct.u, 2, REQUESTS, 1).unwrap())
     });
     for batch in [4usize, 16, 32] {
         group.bench_function(BenchmarkId::new("batched", format!("b{batch}")), |b| {
-            b.iter(|| drive_throughput_batched(&server, "load", &ct.u, 2, REQUESTS, batch).unwrap())
+            b.iter(|| drive_throughput(&server, "load", &ct.u, 2, REQUESTS, batch).unwrap())
         });
     }
     server.shutdown();

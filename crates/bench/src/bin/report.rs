@@ -13,7 +13,7 @@ use sempair_core::threshold::{DecryptionShare, ThresholdPkg};
 use sempair_mrsa::ib::IbMrsaSystem;
 use sempair_net::audit::AuditConfig;
 use sempair_net::revocation::ValidityPeriodPkg;
-use sempair_net::server::{drive_throughput, SemServer};
+use sempair_net::tcp::{drive_throughput, ServerConfig, TcpSemServer};
 use sempair_net::wire;
 use sempair_pairing::CurveParams;
 use std::time::Duration;
@@ -351,7 +351,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------ E9
-    println!("## E9 — SEM server token throughput (256-bit curve)\n");
+    println!("## E9 — SEM daemon token throughput (loopback TCP, 256-bit curve)\n");
     let pkg_t = Pkg::setup(&mut rng, fast.clone());
     let (_, load_sem) = pkg_t.extract_split(&mut rng, "load");
     let load_ct = pkg_t
@@ -367,9 +367,15 @@ fn main() {
     };
     let mut rows = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let server = SemServer::spawn_with(pkg_t.params().clone(), workers, audit.clone());
+        let config = ServerConfig {
+            workers,
+            audit: audit.clone(),
+            ..ServerConfig::default()
+        };
+        let server = TcpSemServer::bind_with("127.0.0.1:0", pkg_t.params().clone(), config)
+            .expect("daemon binds");
         server.install_ibe(load_sem.clone());
-        let result = drive_throughput(&server, "load", &load_ct.u, 4, 256)
+        let result = drive_throughput(&server, "load", &load_ct.u, 4, 256, 1)
             .expect("throughput driver failed");
         let metrics = server.metrics();
         let (_, ibe_latency) = &metrics.latency_us[0];

@@ -70,7 +70,7 @@ pub enum LockClass {
     Warm,
     /// Durable revocation/warm journal (`tcp.rs`).
     Journal,
-    /// Key/revocation shard (`tcp.rs`, `server.rs`).
+    /// Key/revocation shard (`tcp.rs`).
     Shard,
     /// Idempotency (exactly-once) window (`tcp.rs`).
     Idem,

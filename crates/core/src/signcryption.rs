@@ -84,7 +84,7 @@ fn signed_content(recipient_id: &str, message: &[u8]) -> Vec<u8> {
 
 /// The exact bytes the sender's SEM must half-sign for
 /// [`signcrypt`] — senders pass this to `GdhSem::half_sign` (or the
-/// threaded server) to obtain the `sender_half` argument.
+/// SEM daemon) to obtain the `sender_half` argument.
 pub fn content_to_sign(recipient_id: &str, message: &[u8]) -> Vec<u8> {
     signed_content(recipient_id, message)
 }

@@ -128,13 +128,12 @@ pub struct IdentityStats {
     pub bytes_out: u64,
 }
 
-/// How requests reached the SEM: one job/frame each, or amortized
-/// inside batch envelopes. The `batches : batched_items` ratio is the
-/// E9 amortization factor (channel hops and revocation-list lock
-/// acquisitions saved).
+/// How requests reached the SEM: one frame each, or amortized inside
+/// batch frames. The `batches : batched_items` ratio is the E9
+/// amortization factor (frame round trips saved).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Requests that arrived as standalone jobs/frames.
+    /// Requests that arrived as standalone frames.
     pub single: u64,
     /// Requests that arrived inside a batch envelope.
     pub batched_items: u64,
@@ -867,7 +866,7 @@ fn histogram_from_cumulative(cumulative: &[u64], count: u64, sum: u64) -> Option
 
 /// Thread-safe, **bounded** audit log and metrics registry.
 ///
-/// Appends are O(1) under a mutex; the threaded server calls
+/// Appends are O(1) under a mutex; the daemon calls
 /// [`AuditLog::record`] once per request, which is negligible next to
 /// the pairing it just computed. Memory is constant in request count
 /// and identity count: see [`AuditConfig`].

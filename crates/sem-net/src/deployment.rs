@@ -10,23 +10,25 @@
 //! [`Deployment`] wires the pieces together and enforces that
 //! lifecycle: enrolment requires the PKG to be online, is a single
 //! round (PKG splits the key, pushes the SEM half into the running
-//! [`SemServer`], hands the user half back), and once
+//! [`TcpSemServer`] daemon on a loopback port, hands the user half
+//! back with a [`TcpSemClient`] connected to it), and once
 //! [`Deployment::take_pkg_offline`] is called, enrolment fails while
 //! *all* mediated operations keep working.
 
-use crate::server::{SemClient, SemServer};
+use crate::tcp::{ServerConfig, TcpSemClient, TcpSemServer};
 use rand::RngCore;
 use sempair_core::bf_ibe::{IbePublicParams, Pkg};
 use sempair_core::gdh::{self, GdhPublicKey, GdhUser};
 use sempair_core::mediated::UserKey;
 use sempair_core::Error;
 use sempair_pairing::CurveParams;
+use std::io;
 
-/// A running deployment: one SEM server, one (eventually offline) PKG.
+/// A running deployment: one SEM daemon, one (eventually offline) PKG.
 pub struct Deployment {
     pkg: Option<Pkg>,
     params: IbePublicParams,
-    server: SemServer,
+    server: TcpSemServer,
 }
 
 /// Everything a freshly enrolled user walks away with.
@@ -37,22 +39,30 @@ pub struct Enrollment {
     pub signing_key: GdhUser,
     /// The signing public key (verifiers use this).
     pub signing_public: GdhPublicKey,
-    /// A client handle to the SEM.
-    pub client: SemClient,
+    /// A client stub connected to the SEM daemon.
+    pub client: TcpSemClient,
 }
 
 impl Deployment {
-    /// Boots a deployment: fresh PKG over `curve`, SEM server with
-    /// `workers` threads.
-    pub fn start(rng: &mut impl RngCore, curve: CurveParams, workers: usize) -> Self {
+    /// Boots a deployment: fresh PKG over `curve`, SEM daemon with
+    /// `workers` pool threads on an OS-chosen loopback port.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors from binding the daemon.
+    pub fn start(rng: &mut impl RngCore, curve: CurveParams, workers: usize) -> io::Result<Self> {
         let pkg = Pkg::setup(rng, curve);
         let params = pkg.params().clone();
-        let server = SemServer::spawn(params.clone(), workers);
-        Deployment {
+        let config = ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        };
+        let server = TcpSemServer::bind_with("127.0.0.1:0", params.clone(), config)?;
+        Ok(Deployment {
             pkg: Some(pkg),
             params,
             server,
-        }
+        })
     }
 
     /// The public parameters senders need.
@@ -60,8 +70,8 @@ impl Deployment {
         &self.params
     }
 
-    /// The SEM server handle (revocation, audit).
-    pub fn server(&self) -> &SemServer {
+    /// The SEM daemon handle (revocation, audit).
+    pub fn server(&self) -> &TcpSemServer {
         &self.server
     }
 
@@ -78,13 +88,14 @@ impl Deployment {
     }
 
     /// Enrols `id`: the PKG splits both an IBE and a GDH key, the SEM
-    /// halves go straight into the live server, the user halves are
-    /// returned.
+    /// halves go straight into the live daemon, the user halves are
+    /// returned with a client stub connected to it.
     ///
     /// # Errors
     ///
     /// [`Error::UnknownIdentity`] once the PKG has been taken offline
-    /// (there is nobody left who can extract keys).
+    /// (there is nobody left who can extract keys);
+    /// [`Error::Transport`] if the stub cannot connect.
     pub fn enroll(&self, rng: &mut impl RngCore, id: &str) -> Result<Enrollment, Error> {
         let pkg = self.pkg.as_ref().ok_or(Error::UnknownIdentity)?;
         let (decryption_key, ibe_sem_half) = pkg.extract_split(rng, id);
@@ -96,12 +107,13 @@ impl Deployment {
             decryption_key,
             signing_key,
             signing_public,
-            client: self.server.client(),
+            client: TcpSemClient::connect(self.server.local_addr(), self.params.clone())
+                .map_err(|_| Error::Transport)?,
         })
     }
 
-    /// Boots a *replicated* mediation tier instead of the in-process
-    /// [`SemServer`]: a fresh PKG whose per-identity SEM scalars are
+    /// Boots a *replicated* mediation tier instead of the single
+    /// [`TcpSemServer`]: a fresh PKG whose per-identity SEM scalars are
     /// Shamir-dealt across `n` journal-backed TCP replicas, any `t` of
     /// which form a token quorum (see [`crate::cluster::SemCluster`]).
     /// Journals live under `state_dir`, so a cluster restarted on the
@@ -116,9 +128,9 @@ impl Deployment {
         t: usize,
         n: usize,
         state_dir: impl Into<std::path::PathBuf>,
-    ) -> std::io::Result<crate::cluster::SemCluster> {
+    ) -> io::Result<crate::cluster::SemCluster> {
         let pkg = Pkg::setup(rng, curve);
-        crate::cluster::SemCluster::start(pkg, t, n, crate::tcp::ServerConfig::default(), state_dir)
+        crate::cluster::SemCluster::start(pkg, t, n, ServerConfig::default(), state_dir)
     }
 
     /// Destroys the PKG (masters and all): after this, no new
@@ -144,11 +156,11 @@ mod tests {
     fn lifecycle_enroll_offline_operate() {
         let mut rng = StdRng::seed_from_u64(0xDE);
         let curve = CurveParams::generate(&mut rng, 128, 64).unwrap();
-        let mut deployment = Deployment::start(&mut rng, curve, 2);
+        let mut deployment = Deployment::start(&mut rng, curve, 2).unwrap();
         assert!(deployment.pkg_online());
 
-        let alice = deployment.enroll(&mut rng, "alice").unwrap();
-        let bob = deployment.enroll(&mut rng, "bob").unwrap();
+        let mut alice = deployment.enroll(&mut rng, "alice").unwrap();
+        let mut bob = deployment.enroll(&mut rng, "bob").unwrap();
 
         // PKG goes offline; enrolment stops…
         deployment.take_pkg_offline();
@@ -213,8 +225,8 @@ mod tests {
     fn audit_visible_through_deployment() {
         let mut rng = StdRng::seed_from_u64(0xDF);
         let curve = CurveParams::generate(&mut rng, 128, 64).unwrap();
-        let deployment = Deployment::start(&mut rng, curve, 1);
-        let alice = deployment.enroll(&mut rng, "alice").unwrap();
+        let deployment = Deployment::start(&mut rng, curve, 1).unwrap();
+        let mut alice = deployment.enroll(&mut rng, "alice").unwrap();
         let params = deployment.params().clone();
         let c = params.encrypt_full(&mut rng, "alice", b"m").unwrap();
         alice.client.ibe_token("alice", &c.u).unwrap();

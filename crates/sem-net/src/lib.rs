@@ -1,10 +1,10 @@
 //! # sempair-net
 //!
-//! Deployment-level simulation of the SEM architecture: a
-//! multi-threaded security-mediator server, client drivers, a network
-//! cost model, and the revocation-strategy comparison the paper's
-//! introduction motivates (online SEM vs. the Boneh–Franklin built-in
-//! "validity period" re-keying).
+//! Deployment-level simulation of the SEM architecture: a TCP
+//! security-mediator daemon, client drivers, a network cost model,
+//! and the revocation-strategy comparison the paper's introduction
+//! motivates (online SEM vs. the Boneh–Franklin built-in "validity
+//! period" re-keying).
 //!
 //! The paper's deployment claims reproduced here:
 //!
@@ -14,7 +14,7 @@
 //!   every unrevoked key each epoch ([`revocation`]).
 //! * §4 — the SEM stays online for the system lifetime and serves many
 //!   users concurrently; the PKG can go offline after key issuance
-//!   ([`server`]).
+//!   ([`deployment`], over the [`tcp`] daemon).
 //! * §5 — per-operation SEM→user traffic: one `G2` element for
 //!   mediated IBE, one compressed `G1` point for mediated GDH, one
 //!   `|n|`-bit value for IB-mRSA ([`wire`]).
@@ -57,7 +57,6 @@ pub mod latency;
 pub mod proto;
 pub mod revocation;
 pub mod scenario;
-pub mod server;
 pub mod sim;
 pub mod store;
 pub mod tcp;

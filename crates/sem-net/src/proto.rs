@@ -66,7 +66,10 @@
 
 use bytes::{BufMut, BytesMut};
 use sempair_core::cursor::Reader;
+use sempair_core::gdh::HalfSignature;
+use sempair_core::mediated::DecryptToken;
 use sempair_core::Error;
+use sempair_pairing::G1Affine;
 
 /// Request operation codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -381,6 +384,36 @@ pub fn decode_batch_replies(body: &[u8]) -> Option<Vec<Response>> {
         return None;
     }
     Some(replies)
+}
+
+/// One typed item of an [`Op::Batch`] request, as
+/// [`crate::tcp::TcpSemClient::batch`] takes it before encoding.
+#[derive(Debug, Clone)]
+pub enum BatchItem {
+    /// Mediated-IBE decryption token request (an op-1 item).
+    IbeToken {
+        /// Identity named in the request.
+        id: String,
+        /// Ciphertext component `U`.
+        u: G1Affine,
+    },
+    /// Mediated-GDH half-signature request (an op-2 item).
+    GdhHalfSign {
+        /// Identity named in the request.
+        id: String,
+        /// Message to half-sign.
+        message: Vec<u8>,
+    },
+}
+
+/// Per-item outcome of an [`Op::Batch`] request, decoded and in
+/// request order: one refused item never fails its neighbours.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BatchReply {
+    /// Outcome of a [`BatchItem::IbeToken`] request.
+    IbeToken(Result<DecryptToken, Error>),
+    /// Outcome of a [`BatchItem::GdhHalfSign`] request.
+    GdhHalfSign(Result<HalfSignature, Error>),
 }
 
 /// Protocol version carried in every [`Op::Pipelined`] envelope.

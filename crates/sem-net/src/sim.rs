@@ -1,6 +1,6 @@
 //! Discrete-event simulation of a SEM deployment under load.
 //!
-//! The threaded server ([`crate::server`]) measures what *this* machine
+//! The TCP daemon ([`crate::tcp`]) measures what *this* machine
 //! does; the simulator answers deployment questions the paper's §4
 //! raises but 2003 hardware couldn't explore: what end-to-end latency
 //! do users see for mediated operations when `N` clients share one SEM

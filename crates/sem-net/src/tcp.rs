@@ -63,9 +63,8 @@
 //! port, and the two framings can mix on one connection.
 
 use crate::audit::{AuditConfig, AuditLog, Capability, MetricsSnapshot, Outcome};
-use crate::proto::{self, Op, PipelinedRequest, Request, Response, Status};
+use crate::proto::{self, BatchItem, BatchReply, Op, PipelinedRequest, Request, Response, Status};
 use crate::revocation::shard_of;
-use crate::server::{BatchItem, BatchReply};
 use crate::store::{Journal, Record, ReplayedState};
 use crossbeam::channel;
 use rand::rngs::StdRng;
@@ -1233,18 +1232,7 @@ fn admit_envelope(env: PipelinedRequest, sink: &ConnWriter, shared: &Shared) {
                 // un-track its id — a later retry must run fresh.
                 job.gate.release();
                 shared.idem.lock().forget(key);
-                let capability = if job.env.inner.op == Op::GdhHalfSign {
-                    Capability::GdhSign
-                } else {
-                    Capability::IbeDecrypt
-                };
-                shared.audit.record(
-                    &job.env.inner.id,
-                    capability,
-                    Outcome::RefusedOverload,
-                    0,
-                    Duration::ZERO,
-                );
+                audit_shed(&job.env.inner, &shared.audit);
                 let hint = retry_after_hint_ms(depth, shared.config.queue_cap.max(1));
                 let _ = job.reply.send(proto::encode_pipelined_response(
                     job.env.req_id,
@@ -1255,6 +1243,24 @@ fn admit_envelope(env: PipelinedRequest, sink: &ConnWriter, shared: &Shared) {
                 ));
             }
         }
+    }
+}
+
+/// Audits a shed request as [`Outcome::RefusedOverload`] under every
+/// identity it names: each item of a shed batch, so shedding is as
+/// visible per identity as serving, or else the request's own id.
+fn audit_shed(request: &Request, audit: &AuditLog) {
+    let batch = (request.op == Op::Batch)
+        .then(|| proto::decode_batch_items(&request.body))
+        .flatten();
+    for item in batch.as_deref().unwrap_or(std::slice::from_ref(request)) {
+        let capability = if item.op == Op::GdhHalfSign {
+            Capability::GdhSign
+        } else {
+            Capability::IbeDecrypt
+        };
+        let shed = Outcome::RefusedOverload;
+        audit.record(&item.id, capability, shed, 0, Duration::ZERO);
     }
 }
 
@@ -1896,14 +1902,15 @@ impl TcpSemClient {
     /// Sends a mixed batch of requests as **one** frame each way and
     /// returns the per-item outcomes in request order.
     ///
-    /// The daemon serves the whole batch under a single
-    /// revocation-list read-lock acquisition; per-item refusals come
-    /// back inside the [`BatchReply`] entries. The encoded batch must
-    /// fit in [`proto::MAX_FRAME`].
+    /// The daemon serves each item under its own shard's read lock;
+    /// per-item refusals come back inside the [`BatchReply`] entries.
+    /// An empty batch returns at once, without a round trip.
     ///
     /// # Errors
     ///
-    /// [`Error::Transport`] once the retry budget is exhausted;
+    /// [`Error::Overloaded`] when the daemon sheds the batch past its
+    /// brownout watermark; [`Error::Transport`] once the retry budget
+    /// is exhausted;
     /// [`Error::FrameTooLarge`] for a batch that overflows
     /// [`proto::MAX_FRAME`]; a malformed or item-count-mismatched
     /// reply as [`Error::InvalidCiphertext`].
@@ -1967,6 +1974,88 @@ impl TcpSemClient {
             })
             .collect())
     }
+}
+
+/// Result of a [`drive_throughput`] run.
+#[derive(Debug, Clone, Copy)]
+pub struct ThroughputResult {
+    /// Requests completed.
+    pub requests: usize,
+    /// Wall-clock duration of the run.
+    pub elapsed: Duration,
+}
+
+impl ThroughputResult {
+    /// Completed requests per second.
+    pub fn ops_per_sec(&self) -> f64 {
+        self.requests as f64 / self.elapsed.as_secs_f64()
+    }
+}
+
+/// Drives `total_requests` token requests for `id`, all with
+/// ciphertext component `u`, from `client_threads` concurrent
+/// [`TcpSemClient`]s on the default pipelined config (the E9
+/// experiment). Each client sends `batch_size` tokens per
+/// [`Op::Batch`] frame, or single token requests when `batch_size` is
+/// 1; the clients connect before the clock starts.
+///
+/// # Errors
+///
+/// The first request failure (a refused or unknown identity means the
+/// experiment itself is misconfigured); a failed connect as
+/// [`Error::Transport`].
+pub fn drive_throughput(
+    server: &TcpSemServer,
+    id: &str,
+    u: &G1Affine,
+    client_threads: usize,
+    total_requests: usize,
+    batch_size: usize,
+) -> Result<ThroughputResult, Error> {
+    let per_client = total_requests / client_threads.max(1);
+    let item = BatchItem::IbeToken {
+        id: id.to_string(),
+        u: u.clone(),
+    };
+    let batch = vec![item; batch_size.max(1)];
+    let clients = (0..client_threads)
+        .map(|_| TcpSemClient::connect(server.local_addr(), server.shared.params.clone()))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|_| Error::Transport)?;
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .map(|mut client| {
+                let batch = &batch;
+                scope.spawn(move || -> Result<(), Error> {
+                    let mut remaining = per_client;
+                    while remaining > 0 {
+                        let n = remaining.min(batch.len());
+                        if batch.len() == 1 {
+                            client.ibe_token(id, u)?;
+                        } else {
+                            let items = batch.get(..n).unwrap_or(batch);
+                            for reply in client.batch(items)? {
+                                if let BatchReply::IbeToken(Err(e)) = reply {
+                                    return Err(e);
+                                }
+                            }
+                        }
+                        remaining -= n;
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .try_for_each(|handle| handle.join().map_err(|_| Error::Transport)?)
+    })?;
+    Ok(ThroughputResult {
+        requests: per_client * client_threads,
+        elapsed: start.elapsed(),
+    })
 }
 
 /// One event observed by [`PipeClient::recv`].
@@ -2148,6 +2237,9 @@ mod tests {
         let half = client.gdh_half_sign("signer", b"tcp doc").unwrap();
         let sig = user.finish_sign(curve, b"tcp doc", &half).unwrap();
         gdh::verify(curve, &pk, b"tcp doc", &sig).unwrap();
+        // Revocation hits GDH too.
+        server.revoke("signer");
+        assert_eq!(client.gdh_half_sign("signer", b"x"), Err(Error::Revoked));
         server.shutdown();
     }
 
@@ -2180,9 +2272,11 @@ mod tests {
         client.ibe_token("alice", &c.u).unwrap();
         server.revoke("alice");
         let _ = client.ibe_token("alice", &c.u);
+        let _ = client.ibe_token("ghost", &c.u);
         let stats = server.audit_stats("alice");
         assert_eq!(stats.served, 1);
         assert_eq!(stats.refused, 1);
+        assert_eq!(server.audit_stats("ghost").refused, 1);
         assert!(server.audit_bytes_out() > 0);
         server.shutdown();
     }
@@ -2441,9 +2535,12 @@ mod tests {
         );
         let sig = gdh_user.finish_sign(curve, b"doc", half).unwrap();
         gdh::verify(curve, &pk, b"doc", &sig).unwrap();
-        // Transport counters: one envelope, three batched items.
+        // Transport counters: one envelope, three batched items; an
+        // empty batch never leaves the stub.
+        assert!(client.batch(&[]).unwrap().is_empty());
         let t = server.audit_transport();
         assert_eq!((t.single, t.batched_items, t.batches), (0, 3, 1));
+        assert_eq!(server.audit_stats("alice").served, 1);
         // A revoked identity refuses only its own item.
         server.revoke("alice");
         let replies = client
@@ -2861,8 +2958,9 @@ mod tests {
     }
 
     /// Brownout shedding: with the queue depth between the watermark
-    /// and the cap, deferrable Stats-class work is shed (with a typed
-    /// retry-after hint in the overloaded body) while token-class
+    /// and the cap, deferrable Stats- and Batch-class work is shed
+    /// (with a typed retry-after hint in the overloaded body, and each
+    /// shed batch item audited under its identity) while token-class
     /// crypto work is still admitted.
     #[test]
     fn brownout_sheds_stats_class_before_token_class() {
@@ -2897,27 +2995,32 @@ mod tests {
                 body: vec![],
             })
             .unwrap();
-        let token_id = pipe
-            .submit(&Request {
-                op: Op::IbeToken,
-                id: "alice".into(),
-                body: pkg.params().curve().point_to_bytes(&c.u),
-            })
-            .unwrap();
-        let (mut saw_stats, mut saw_token) = (false, false);
-        for _ in 0..7 {
+        let token = Request {
+            op: Op::IbeToken,
+            id: "alice".into(),
+            body: pkg.params().curve().point_to_bytes(&c.u),
+        };
+        let batch = Request {
+            op: Op::Batch,
+            id: String::new(),
+            body: proto::encode_batch_items(std::slice::from_ref(&token)),
+        };
+        let batch_id = pipe.submit(&batch).unwrap();
+        let token_id = pipe.submit(&token).unwrap();
+        let mut shed = std::collections::HashSet::from([stats_id, batch_id]);
+        let mut saw_token = false;
+        for _ in 0..8 {
             match pipe.recv().unwrap() {
                 PipeReply::Reply(req_id, inner) => {
-                    if req_id == stats_id {
+                    if shed.remove(&req_id) {
                         assert_eq!(
                             inner.status,
                             Status::Overloaded,
-                            "Stats-class op must brown out above the watermark"
+                            "Stats- and Batch-class ops must brown out above the watermark"
                         );
                         let hint = proto::decode_retry_after(&inner.body)
                             .expect("shed replies carry a typed retry-after hint");
                         assert!((10..=100).contains(&hint), "hint {hint} ms out of band");
-                        saw_stats = true;
                     } else if req_id == token_id {
                         assert_eq!(
                             inner.status,
@@ -2933,7 +3036,18 @@ mod tests {
                 PipeReply::Plain(outer) => panic!("unexpected plain reply: {:?}", outer.status),
             }
         }
-        assert!(saw_stats && saw_token && sign_ids.is_empty());
+        assert!(shed.is_empty() && saw_token && sign_ids.is_empty());
+        // The shed batch item is refused under its identity; nothing
+        // else for alice was refused.
+        assert_eq!(server.audit_stats("alice").refused, 1);
+        // Drained below the watermark, the same batch is served.
+        let batch_id = pipe.submit(&batch).unwrap();
+        match pipe.recv().unwrap() {
+            PipeReply::Reply(req_id, inner) => {
+                assert_eq!((req_id, inner.status), (batch_id, Status::Ok));
+            }
+            PipeReply::Plain(outer) => panic!("unexpected plain reply: {:?}", outer.status),
+        }
         server.shutdown();
     }
 
@@ -3033,7 +3147,6 @@ mod tests {
         // submit-all-then-recv loop could deadlock on a full socket
         // buffer in theory (not at these sizes, but the discipline is
         // the point of the test).
-        let addr = server.local_addr();
         let submitted = std::thread::spawn(move || {
             for _ in 0..BURST {
                 pipe.submit(&request).unwrap();
@@ -3041,7 +3154,6 @@ mod tests {
             pipe
         });
         let mut pipe = submitted.join().unwrap();
-        let _ = addr;
         let mut ok = 0;
         for _ in 0..BURST {
             match pipe.recv().unwrap() {
@@ -3334,6 +3446,94 @@ mod tests {
         }
         assert_eq!(server.audit_stats("alice").served, 64);
         assert_eq!(server.audit_stats("alice").refused, 0);
+        server.shutdown();
+    }
+
+    /// A stub whose daemon has shut down fails with a typed error once
+    /// its retry budget is spent: it neither panics nor hangs.
+    #[test]
+    fn client_after_shutdown_errors_within_retry_budget() {
+        let (pkg, server, mut rng) = setup();
+        let (_, sem_key) = pkg.extract_split(&mut rng, "alice");
+        server.install_ibe(sem_key);
+        let mut client = TcpSemClient::connect(server.local_addr(), pkg.params().clone()).unwrap();
+        let c = pkg.params().encrypt_full(&mut rng, "alice", b"m").unwrap();
+        assert!(client.ibe_token("alice", &c.u).is_ok());
+        server.shutdown();
+        let start = Instant::now();
+        assert_eq!(client.ibe_token("alice", &c.u), Err(Error::Transport));
+        assert_eq!(
+            client.batch(&[BatchItem::IbeToken {
+                id: "alice".into(),
+                u: c.u.clone(),
+            }]),
+            Err(Error::Transport)
+        );
+        assert!(start.elapsed() < Duration::from_secs(5));
+        let budget = u64::from(ClientConfig::default().max_retries);
+        assert_eq!(client.stats().retries, 2 * budget);
+    }
+
+    /// The audit ring and identity-metering caps set through
+    /// `ServerConfig::audit` bound what the daemon keeps, while the
+    /// totals and latency histograms still count every request.
+    #[test]
+    fn bounded_audit_and_metrics_via_server_config() {
+        let (pkg, server, mut rng) = setup_with(ServerConfig {
+            workers: 2,
+            audit: AuditConfig {
+                audit_cap: 4,
+                identity_cap: 2,
+            },
+            ..ServerConfig::default()
+        });
+        let (_, sem_key) = pkg.extract_split(&mut rng, "alice");
+        server.install_ibe(sem_key);
+        let mut client = TcpSemClient::connect(server.local_addr(), pkg.params().clone()).unwrap();
+        let c = pkg.params().encrypt_full(&mut rng, "alice", b"m").unwrap();
+        for _ in 0..10 {
+            client.ibe_token("alice", &c.u).unwrap();
+        }
+        // Mint more identities than the cap: extras fold into overflow.
+        for i in 0..5 {
+            let _ = client.ibe_token(&format!("ghost{i}"), &c.u);
+        }
+        assert_eq!(server.audit_len(), 4);
+        let m = server.metrics();
+        assert_eq!(m.records_len, 4);
+        assert_eq!(m.records_dropped, 11);
+        assert!(m.identities_tracked <= 2);
+        assert_eq!(m.totals.served + m.totals.refused, 15);
+        let (_, ibe_latency) = &m.latency_us[0];
+        assert_eq!(ibe_latency.count(), 15);
+        assert!(ibe_latency.sum() > 0);
+        server.shutdown();
+    }
+
+    /// The E9 driver completes every request, as single token frames
+    /// at batch size 1 and as batch frames above it.
+    #[test]
+    fn throughput_driver_runs_single_and_batched() {
+        let (pkg, server, mut rng) = setup();
+        let (_, sem_key) = pkg.extract_split(&mut rng, "alice");
+        server.install_ibe(sem_key);
+        let c = pkg.params().encrypt_full(&mut rng, "alice", b"m").unwrap();
+        let single = drive_throughput(&server, "alice", &c.u, 2, 16, 1).unwrap();
+        assert_eq!(single.requests, 16);
+        assert!(single.ops_per_sec() > 0.0);
+        let t = server.audit_transport();
+        assert_eq!((t.single, t.batched_items, t.batches), (16, 0, 0));
+        let batched = drive_throughput(&server, "alice", &c.u, 2, 16, 5).unwrap();
+        assert_eq!(batched.requests, 16);
+        let t = server.audit_transport();
+        assert_eq!(t.batched_items, 16);
+        // Each client covers 8 requests in batches of 5: ⌈8/5⌉ = 2.
+        assert_eq!(t.batches, 4);
+        // A misconfigured run surfaces the refusal instead of spinning.
+        assert_eq!(
+            drive_throughput(&server, "ghost", &c.u, 1, 4, 2).unwrap_err(),
+            Error::UnknownIdentity
+        );
         server.shutdown();
     }
 }

@@ -28,6 +28,13 @@ grep -q '"R5-lock"' AUDIT_report.json \
 echo "== tier-1: cargo build --release"
 cargo build --release
 
+# The signing-service example runs end to end, not just compiles: it
+# enrols a signer on a TCP SEM daemon bound to a loopback port and
+# verifies the served half-signature. Measured on a 2-vCPU host: about
+# 16 s to compile it in release mode, then 0.05 s to run.
+echo "== example: signing_service (runs against a loopback SEM daemon)"
+cargo run -q --release --example signing_service
+
 # A test registered twice in one binary runs twice at once, and copies
 # that share a temp path race each other; it once happened to every
 # property test through the proptest shim. List every test binary and

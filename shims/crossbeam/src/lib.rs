@@ -1,16 +1,11 @@
 //! Offline subset of the `crossbeam` crate API (see `shims/README.md`).
 //!
-//! Provides `crossbeam::channel` with multi-producer **multi-consumer**
-//! channels — the property the SEM server relies on (one job queue,
-//! many worker threads pulling from cloned receivers) that std's mpsc
-//! cannot offer. Implemented as a mutex-protected deque plus condvars;
-//! adequate for the request sizes the SEM serves, where each job does
-//! milliseconds of pairing work per lock acquisition.
-//!
-//! `bounded(cap)` enforces the capacity: `send` blocks while the queue
-//! is full (releasing the slot wakes exactly one sender) and `try_send`
-//! reports `TrySendError::Full` — the primitive the SEM's backpressure
-//! path (`Error::Overloaded`) is built on.
+//! Provides `crossbeam::channel` with unbounded multi-producer
+//! **multi-consumer** channels: cloneable receivers, which std's mpsc
+//! cannot offer, and disconnect in both directions. Implemented as a
+//! mutex-protected deque plus a condvar; the SEM daemon uses it for
+//! its per-connection reply writers and the fault proxy for its
+//! delayed-frame queues.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -20,12 +15,8 @@ pub mod channel {
 
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
-        /// Capacity for bounded channels; `None` = unbounded.
-        capacity: Option<usize>,
         /// Signalled when a message arrives or the last sender leaves.
         ready: Condvar,
-        /// Signalled when a slot frees up or the last receiver leaves.
-        space: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
     }
@@ -55,46 +46,6 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Sender::try_send`]; carries the message.
-    pub enum TrySendError<T> {
-        /// A bounded channel is at capacity.
-        Full(T),
-        /// Every receiver has been dropped.
-        Disconnected(T),
-    }
-
-    impl<T> TrySendError<T> {
-        /// Recovers the message that could not be sent.
-        pub fn into_inner(self) -> T {
-            match self {
-                TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
-            }
-        }
-
-        /// True iff this is the `Full` variant.
-        pub fn is_full(&self) -> bool {
-            matches!(self, TrySendError::Full(_))
-        }
-    }
-
-    impl<T> fmt::Debug for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("Full(..)"),
-                TrySendError::Disconnected(_) => f.write_str("Disconnected(..)"),
-            }
-        }
-    }
-
-    impl<T> fmt::Display for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("sending on a full channel"),
-                TrySendError::Disconnected(_) => f.write_str("sending on a disconnected channel"),
-            }
-        }
-    }
-
     /// Error returned when the channel is empty and all senders are gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
@@ -107,12 +58,11 @@ pub mod channel {
 
     impl std::error::Error for RecvError {}
 
-    fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// Creates an unbounded channel.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
-            capacity,
             ready: Condvar::new(),
-            space: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
         });
@@ -124,77 +74,20 @@ pub mod channel {
         )
     }
 
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    /// Creates a bounded channel holding at most `cap` messages
-    /// (`cap` is clamped to at least 1). `send` blocks while full;
-    /// `try_send` reports `TrySendError::Full` instead.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_capacity(Some(cap.max(1)))
-    }
-
     impl<T> Sender<T> {
-        /// Enqueues a message, blocking while a bounded channel is at
-        /// capacity; fails iff every receiver has been dropped.
+        /// Enqueues a message; fails iff every receiver has been
+        /// dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cap) = self.shared.capacity {
-                while queue.len() >= cap {
-                    if self.shared.receivers.load(Ordering::Acquire) == 0 {
-                        return Err(SendError(value));
-                    }
-                    queue = self
-                        .shared
-                        .space
-                        .wait(queue)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            queue.push_back(value);
-            drop(queue);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-
-        /// Enqueues without blocking; reports `Full` when a bounded
-        /// channel is at capacity, `Disconnected` when every receiver
-        /// has been dropped.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            if self.shared.receivers.load(Ordering::Acquire) == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cap) = self.shared.capacity {
-                if queue.len() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
-            }
-            queue.push_back(value);
-            drop(queue);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-
-        /// Messages currently queued (matches upstream
-        /// `crossbeam_channel::Sender::len`) — the depth signal
-        /// watermark-based load shedding reads.
-        pub fn len(&self) -> usize {
             self.shared
                 .queue
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .len()
-        }
-
-        /// True iff no message is currently queued.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
+                .push_back(value);
+            self.shared.ready.notify_one();
+            Ok(())
         }
     }
 
@@ -223,8 +116,6 @@ pub mod channel {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(value) = queue.pop_front() {
-                    drop(queue);
-                    self.shared.space.notify_one();
                     return Ok(value);
                 }
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
@@ -236,35 +127,6 @@ pub mod channel {
                     .wait(queue)
                     .unwrap_or_else(|e| e.into_inner());
             }
-        }
-
-        /// Dequeues without blocking; `None` if currently empty.
-        pub fn try_recv(&self) -> Option<T> {
-            let popped = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front();
-            if popped.is_some() {
-                self.shared.space.notify_one();
-            }
-            popped
-        }
-
-        /// Messages currently queued (matches upstream
-        /// `crossbeam_channel::Receiver::len`).
-        pub fn len(&self) -> usize {
-            self.shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len()
-        }
-
-        /// True iff no message is currently queued.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 
@@ -279,19 +141,14 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if self.shared.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last receiver: wake senders blocked on a full queue
-                // so they observe disconnect instead of hanging.
-                self.shared.space.notify_all();
-            }
+            self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, TrySendError};
-    use std::time::Duration;
+    use super::channel::unbounded;
 
     #[test]
     fn multi_consumer_fan_out() {
@@ -319,7 +176,7 @@ mod tests {
 
     #[test]
     fn disconnect_propagates_both_ways() {
-        let (tx, rx) = bounded::<u8>(1);
+        let (tx, rx) = unbounded::<u8>();
         drop(rx);
         assert!(tx.send(1).is_err());
         let (tx2, rx2) = unbounded::<u8>();
@@ -327,66 +184,5 @@ mod tests {
         drop(tx2);
         assert_eq!(rx2.recv(), Ok(9));
         assert!(rx2.recv().is_err());
-    }
-
-    #[test]
-    fn bounded_try_send_reports_full_then_drains() {
-        let (tx, rx) = bounded::<u8>(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        match tx.try_send(3) {
-            Err(TrySendError::Full(v)) => assert_eq!(v, 3),
-            other => panic!("expected Full, got {other:?}"),
-        }
-        assert_eq!(rx.try_recv(), Some(1));
-        tx.try_send(3).unwrap();
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(3));
-    }
-
-    #[test]
-    fn bounded_send_blocks_until_slot_frees() {
-        let (tx, rx) = bounded::<u8>(1);
-        tx.send(1).unwrap();
-        let t = std::thread::spawn(move || {
-            tx.send(2).unwrap(); // blocks until the recv below
-            tx.send(3).unwrap();
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(3));
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn blocked_sender_unblocks_on_receiver_drop() {
-        let (tx, rx) = bounded::<u8>(1);
-        tx.send(1).unwrap();
-        let t = std::thread::spawn(move || tx.send(2));
-        std::thread::sleep(Duration::from_millis(50));
-        drop(rx);
-        assert!(t.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn len_tracks_queued_messages() {
-        let (tx, rx) = bounded::<u8>(4);
-        assert_eq!(tx.len(), 0);
-        assert!(tx.is_empty());
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.len(), 2);
-        assert_eq!(rx.len(), 2);
-        assert!(!rx.is_empty());
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(tx.len(), 1);
-    }
-
-    #[test]
-    fn try_send_disconnected() {
-        let (tx, rx) = bounded::<u8>(4);
-        drop(rx);
-        assert!(matches!(tx.try_send(7), Err(TrySendError::Disconnected(7))));
     }
 }

@@ -34,7 +34,6 @@ pub mod prelude {
     pub use sempair_core::mediated::{DecryptToken, Sem, SemKey, UserKey};
     pub use sempair_core::threshold::{DecryptionShare, IdKeyShare, ThresholdPkg, ThresholdSystem};
     pub use sempair_core::Error;
-    pub use sempair_net::server::{SemClient, SemServer};
     pub use sempair_net::tcp::{TcpSemClient, TcpSemServer};
     pub use sempair_pairing::{CurveParams, G1Affine, Gt};
 }

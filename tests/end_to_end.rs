@@ -1,5 +1,5 @@
 //! Cross-crate end-to-end flows: the deployment stack from PKG to
-//! threaded SEM server to wire formats.
+//! the TCP SEM daemon to wire formats.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -8,7 +8,7 @@ use sempair::core::gdh;
 use sempair::core::threshold::ThresholdPkg;
 use sempair::net::latency::{mediated_op_time, LinkModel};
 use sempair::net::revocation::ValidityPeriodPkg;
-use sempair::net::server::{drive_throughput, SemServer};
+use sempair::net::tcp::{drive_throughput, ServerConfig, TcpSemClient, TcpSemServer};
 use sempair::net::wire;
 use sempair::pairing::CurveParams;
 use std::time::Duration;
@@ -17,13 +17,27 @@ fn curve() -> CurveParams {
     CurveParams::fast_insecure()
 }
 
-/// Mail travels PKG → sender → SEM server → recipient, entirely through
+/// A SEM daemon with `workers` pool threads on an OS-chosen loopback
+/// port.
+fn daemon(pkg: &Pkg, workers: usize) -> TcpSemServer {
+    let config = ServerConfig {
+        workers,
+        ..ServerConfig::default()
+    };
+    TcpSemServer::bind_with("127.0.0.1:0", pkg.params().clone(), config).unwrap()
+}
+
+fn client(pkg: &Pkg, server: &TcpSemServer) -> TcpSemClient {
+    TcpSemClient::connect(server.local_addr(), pkg.params().clone()).unwrap()
+}
+
+/// Mail travels PKG → sender → SEM daemon → recipient, entirely through
 /// serialized wire formats (no shared in-memory structures).
 #[test]
 fn full_stack_mail_through_wire_formats() {
     let mut rng = StdRng::seed_from_u64(2001);
     let pkg = Pkg::setup(&mut rng, curve());
-    let server = SemServer::spawn(pkg.params().clone(), 2);
+    let server = daemon(&pkg, 2);
     let (bob, bob_sem) = pkg.extract_split(&mut rng, "bob");
     server.install_ibe(bob_sem);
 
@@ -37,8 +51,7 @@ fn full_stack_mail_through_wire_formats() {
     // Recipient side: parse, request token, decrypt.
     let parsed = FullCiphertext::from_bytes(pkg.params(), &wire_bytes).unwrap();
     assert_eq!(parsed, c);
-    let client = server.client();
-    let token = client.ibe_token("bob", &parsed.u).unwrap();
+    let token = client(&pkg, &server).ibe_token("bob", &parsed.u).unwrap();
     assert_eq!(
         bob.finish_decrypt(pkg.params(), &parsed, &token).unwrap(),
         b"wire-format mail"
@@ -52,7 +65,7 @@ fn full_stack_mail_through_wire_formats() {
 fn multi_user_server_with_selective_revocation() {
     let mut rng = StdRng::seed_from_u64(2002);
     let pkg = Pkg::setup(&mut rng, curve());
-    let server = SemServer::spawn(pkg.params().clone(), 4);
+    let server = daemon(&pkg, 4);
     let users: Vec<_> = (0..6)
         .map(|i| {
             let id = format!("user{i}@example.com");
@@ -64,7 +77,7 @@ fn multi_user_server_with_selective_revocation() {
 
     server.revoke("user3@example.com");
 
-    let client = server.client();
+    let mut client = client(&pkg, &server);
     for (id, key) in &users {
         let c = pkg
             .params()
@@ -89,11 +102,11 @@ fn multi_user_server_with_selective_revocation() {
 fn throughput_driver_serves_all_requests() {
     let mut rng = StdRng::seed_from_u64(2003);
     let pkg = Pkg::setup(&mut rng, curve());
-    let server = SemServer::spawn(pkg.params().clone(), 4);
+    let server = daemon(&pkg, 4);
     let (_, sem_half) = pkg.extract_split(&mut rng, "load");
     server.install_ibe(sem_half);
     let c = pkg.params().encrypt_full(&mut rng, "load", b"x").unwrap();
-    let result = drive_throughput(&server, "load", &c.u, 4, 64).unwrap();
+    let result = drive_throughput(&server, "load", &c.u, 4, 64, 1).unwrap();
     assert_eq!(result.requests, 64);
     assert!(result.ops_per_sec() > 0.0);
     server.shutdown();
@@ -174,17 +187,17 @@ fn bandwidth_and_latency_model_consistency() {
     assert!(t_gdh <= t_rsa);
 }
 
-/// GDH signatures produced through the server verify under plain BLS —
+/// GDH signatures produced through the daemon verify under plain BLS —
 /// "transparent to the verifier".
 #[test]
 fn server_signed_documents_verify_offline() {
     let mut rng = StdRng::seed_from_u64(2006);
     let pkg = Pkg::setup(&mut rng, curve());
     let curve = pkg.params().curve().clone();
-    let server = SemServer::spawn(pkg.params().clone(), 2);
+    let server = daemon(&pkg, 2);
     let (user, sem_half, pk) = gdh::mediated_keygen(&mut rng, &curve, "signer");
     server.install_gdh(sem_half);
-    let client = server.client();
+    let mut client = client(&pkg, &server);
 
     let docs: Vec<Vec<u8>> = (0..4).map(|i| format!("doc {i}").into_bytes()).collect();
     let mut sigs = Vec::new();
@@ -193,7 +206,7 @@ fn server_signed_documents_verify_offline() {
         sigs.push(user.finish_sign(&curve, doc, &half).unwrap());
     }
     server.shutdown();
-    // Offline verification — no SEM, no server.
+    // Offline verification — no SEM, no daemon.
     for (doc, sig) in docs.iter().zip(&sigs) {
         gdh::verify(&curve, &pk, doc, sig).unwrap();
     }
