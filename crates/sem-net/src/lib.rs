@@ -61,3 +61,11 @@ pub mod sim;
 pub mod store;
 pub mod tcp;
 pub mod wire;
+
+/// Service-level tests of the SEM (token and signing service,
+/// revocation, batching, auditing, load shedding), run against the
+/// [`tcp`] daemon through its client stubs.
+#[cfg(test)]
+mod server {
+    mod tests;
+}

@@ -911,6 +911,11 @@ impl TcpSemServer {
         inner.revoked.remove(id);
     }
 
+    /// Whether `id` is currently revoked (read on its own shard).
+    pub fn is_revoked(&self, id: &str) -> bool {
+        self.shared.shard(id).read().ibe.is_revoked(id) // lock:acquire(Shard)
+    }
+
     /// Aggregate audit statistics for one identity.
     pub fn audit_stats(&self, id: &str) -> crate::audit::IdentityStats {
         self.shared.audit.stats_for(id)
@@ -919,6 +924,18 @@ impl TcpSemServer {
     /// Total bytes the daemon has returned to clients.
     pub fn audit_bytes_out(&self) -> u64 {
         self.shared.audit.total_bytes_out()
+    }
+
+    /// Identities whose refusal count exceeds `threshold` (the audit
+    /// log's anomaly feed).
+    pub fn audit_noisy_identities(&self, threshold: u64) -> Vec<String> {
+        self.shared.audit.noisy_identities(threshold)
+    }
+
+    /// The retained audit records, oldest first.
+    #[cfg(test)]
+    pub(crate) fn audit_records(&self) -> Vec<crate::audit::AuditRecord> {
+        self.shared.audit.snapshot()
     }
 
     /// Transport counters: single-vs-batched traffic plus the fault
